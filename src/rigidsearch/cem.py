@@ -43,13 +43,7 @@ SCHEDULES = ("eq5", "constant", "none")
 # a run of target n scores, clamped beyond the anchor range.  Oracle rewards
 # reuse the NAC anchors: desk-scale calibration has no live solver to train
 # against, and the entropy budget is a property of the action space.
-_NAC_ANCHORS = {7: 1.4, 8: 1.4, 10: 0.8}
-ETA0_ANCHORS: dict[str, dict[int, float]] = {
-    "nac": _NAC_ANCHORS,
-    "plane": _NAC_ANCHORS,
-    "sphere": _NAC_ANCHORS,
-    "mbezout": _NAC_ANCHORS,
-}
+ETA0_ANCHORS: dict[int, float] = {7: 1.4, 8: 1.4, 10: 0.8}
 
 
 def _slot_space(n: int) -> int:
@@ -57,19 +51,18 @@ def _slot_space(n: int) -> int:
     return k * (k - 1) // 2 * (k - 1)
 
 
-def default_eta0(reward: str, n: int) -> float:
+def default_eta0(n: int) -> float:
     """Interpolate the calibrated anchors log-linearly in action-space size."""
-    anchors = ETA0_ANCHORS[reward]
-    ns = sorted(anchors)
+    ns = sorted(ETA0_ANCHORS)
     if n <= ns[0]:
-        return anchors[ns[0]]
+        return ETA0_ANCHORS[ns[0]]
     if n >= ns[-1]:
-        return anchors[ns[-1]]
+        return ETA0_ANCHORS[ns[-1]]
     for lo, hi in zip(ns, ns[1:]):
         if lo <= n <= hi:
             x, x0, x1 = (math.log(_slot_space(v)) for v in (n, lo, hi))
             w = (x - x0) / (x1 - x0)
-            return anchors[lo] * (1 - w) + anchors[hi] * w
+            return ETA0_ANCHORS[lo] * (1 - w) + ETA0_ANCHORS[hi] * w
     raise AssertionError
 
 
@@ -82,7 +75,7 @@ class CemConfig:
     rho_elite: float = 0.064
     rho_surv: float = 0.016
     rho_main: float | None = None       # 1.0 for nac, 0.256 otherwise
-    eta0: float | None = None           # calibrated default per (reward, n)
+    eta0: float | None = None           # calibrated default per n
     alpha: float = 6.0
     beta: float = 7.0
     epochs: int = 4
@@ -112,7 +105,7 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
     if out.early_stop is None:
         out.early_stop = 250 if out.reward == "nac" else 500
     if out.eta0 is None:
-        out.eta0 = default_eta0(out.reward, out.n)
+        out.eta0 = default_eta0(out.n)
     if out.n < 3:
         raise ConfigError(f"need n >= 3, got {out.n}")
     if out.m < 1:

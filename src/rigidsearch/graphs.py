@@ -280,22 +280,40 @@ def _encode_under(rows: tuple[int, ...], n: int, colors: list[int]) -> int:
     return x
 
 
-def canonical_labeling(g: Graph) -> list[int]:
-    """A relabeling v -> perm[v] minimizing encode_int over candidate labelings.
+def _orbit(v: int, gens: list[list[int]], path: list[int]) -> set[int]:
+    """Orbit of v under the automorphisms in gens that fix path pointwise."""
+    fixing = [gamma for gamma in gens if all(gamma[u] == u for u in path)]
+    orbit, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for gamma in fixing:
+            if gamma[u] not in orbit:
+                orbit.add(gamma[u])
+                stack.append(gamma[u])
+    return orbit
 
-    Individualization-refinement: refine color classes, branch on every
-    vertex of the first non-singleton cell, keep the lexicographically
-    smallest code.  The candidate set is isomorphism invariant, so equal
-    canonical codes characterize isomorphic graphs.
+
+def _search(g: Graph) -> tuple[list[int], int]:
+    """Individualization-refinement with automorphism pruning: (labeling, |Aut|).
+
+    Refine color classes, branch on the vertices of the first non-singleton
+    cell and keep the leaf of smallest code.  Two leaves with equal codes
+    give an automorphism.  A node explores one child per orbit of the
+    automorphisms found that fix its path, and below a non-first child of a
+    first-path node a leaf equal to the first leaf ends the child: its
+    subtree is an image of the first child's.  Pruned subtrees repeat the
+    codes of explored ones, so the minimum is that of the full tree, and
+    |Aut| is the product of the first child's orbit sizes along the first
+    path (McKay & Piperno, Practical graph isomorphism, II, 2014).
     """
     rows, n = g.rows, g.n
-    if n <= 1:
-        return [0] * n
-    best_code: int | None = None
-    best_colors: list[int] | None = None
+    first = best = None  # (code, colors) of the first and the smallest leaf
+    gens: list[list[int]] = []
+    aut = 1
 
-    def descend(colors: list[int]) -> None:
-        nonlocal best_code, best_colors
+    def descend(colors: list[int], path: list[int], on_first: bool) -> bool:
+        """Explore one node; True once a leaf equals the first leaf."""
+        nonlocal first, best, aut
         cell_of: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cell_of.setdefault(c, []).append(v)
@@ -306,58 +324,50 @@ def canonical_labeling(g: Graph) -> list[int]:
                 break
         if target is None:
             code = _encode_under(rows, n, colors)
-            if best_code is None or code < best_code:
-                best_code, best_colors = code, colors
-            return
-        for v in target:
-            descend(_refine(rows, _individualize(colors, v)))
+            if first is None:
+                first = best = (code, colors)
+                return False
+            inv = [0] * n
+            for v in range(n):
+                inv[colors[v]] = v
+            for ref_code, ref_colors in (first, best):
+                if code == ref_code:
+                    gens.append([inv[c] for c in ref_colors])
+                    return code == first[0]
+            if code < best[0]:
+                best = (code, colors)
+            return False
+        explored: set[int] = set()
+        for w in target:
+            if explored & _orbit(w, gens, path):
+                continue
+            explored.add(w)
+            child = _refine(rows, _individualize(colors, w))
+            if descend(child, path + [w], on_first and w == target[0]) and not on_first:
+                return True
+        if on_first:
+            aut *= len(_orbit(target[0], gens, path))
+        return False
 
-    descend(_refine(rows, _degree_colors(rows)))
-    assert best_colors is not None
-    return best_colors
+    descend(_refine(rows, _degree_colors(rows)), [], True)
+    return best[1], aut
+
+
+def canonical_labeling(g: Graph) -> list[int]:
+    """A relabeling v -> perm[v] minimizing encode_int over the leaves of the
+    search tree.  The leaf set is isomorphism invariant, so equal canonical
+    codes characterize isomorphic graphs."""
+    return _search(g)[0]
 
 
 def canonical_code(g: Graph) -> CanonicalCode:
     """Isomorphism-invariant (n, code): code of the canonically relabeled graph."""
-    if g.n <= 1:
-        return CanonicalCode(g.n, 0)
-    perm = canonical_labeling(g)
-    return CanonicalCode(g.n, _encode_under(g.rows, g.n, perm))
+    return CanonicalCode(g.n, _encode_under(g.rows, g.n, canonical_labeling(g)))
 
 
 def automorphism_count(g: Graph) -> int:
-    """Number of adjacency-preserving permutations (backtracking, refined colors)."""
-    rows, n = g.rows, g.n
-    if n <= 1:
-        return 1
-    colors = _refine(rows, _degree_colors(rows))
-    count = 0
-    image = [0] * n
-    used = [False] * n
-
-    def place(v: int) -> None:
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        rv = rows[v]
-        for u in range(n):
-            if used[u] or colors[u] != colors[v]:
-                continue
-            ok = True
-            for w in range(v):
-                if (rv >> w & 1) != (rows[u] >> image[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                image[v] = u
-                used[u] = True
-                place(v + 1)
-                used[u] = False
-        return
-
-    place(0)
-    return count
+    """Number of adjacency-preserving permutations, from the same search."""
+    return _search(g)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ tests against central finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -189,7 +189,7 @@ def slot_representation(params: PolicyParams, g: Graph, h: np.ndarray):
     for j, cnt in enumerate((1, 2, 3)):
         gamma[:, 2 + j] = is_one & e_vw & (among == cnt)
     rep = np.hstack([phi, psi, gamma])
-    aux = {"slots": slots, "a_idx": a_idx, "v_idx": v_idx, "w_idx": w_idx,
+    aux = {"a_idx": a_idx, "v_idx": v_idx, "w_idx": w_idx,
            "is_one": is_one, "valid": valid}
     return rep, aux
 
@@ -212,16 +212,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ActionDistribution:
-    slots: tuple[Extension, ...]
+    k: int  # state size; the slots are enumerate_slots(k)
     valid: np.ndarray
     probs: np.ndarray
     logits: np.ndarray
-    _index: dict[Extension, int] | None = field(default=None, repr=False)
+
+    @property
+    def slots(self) -> tuple[Extension, ...]:
+        return enumerate_slots(self.k)
 
     def index_of(self, ext: Extension) -> int:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.slots)}
-        return self._index[ext]
+        return _slot_index_table(self.k)[ext]
 
     @property
     def entropy(self) -> float:
@@ -281,7 +282,7 @@ def flat_mlp_policy(params: PolicyParams, g: Graph) -> ActionDistribution:
     logits, _ = _flat_forward(params, g)
     slots, _, _, _, is_one = _slot_arrays(g.n)
     valid = np.array([e.kind == ZERO or g.has_edge(*e.pair) for e in slots])
-    return ActionDistribution(slots, valid, _softmax(logits), logits)
+    return ActionDistribution(g.n, valid, _softmax(logits), logits)
 
 
 def action_distribution(params: PolicyParams, g: Graph) -> ActionDistribution:
@@ -291,7 +292,7 @@ def action_distribution(params: PolicyParams, g: Graph) -> ActionDistribution:
     h, _ = gin_forward(params, g)
     rep, aux = slot_representation(params, g, h)
     logits, _ = _head_forward(params, rep)
-    return ActionDistribution(aux["slots"], aux["valid"], _softmax(logits), logits)
+    return ActionDistribution(g.n, aux["valid"], _softmax(logits), logits)
 
 
 def sample_action(dist: ActionDistribution, rng, max_resample: int = 32) -> Extension:

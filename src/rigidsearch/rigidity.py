@@ -140,9 +140,10 @@ def k2() -> Graph:
     return Graph.complete(2)
 
 
-def enumerate_minimally_rigid(n: int, max_n: int = 10) -> set[CanonicalCode]:
-    """All isomorphism classes of minimally rigid graphs on n vertices,
-    as canonical codes, by closing K2 under 0/1-extensions."""
+def enumerate_minimally_rigid(n: int, max_n: int = 10,
+                              kinds: tuple[str, ...] = (ZERO, ONE)) -> set[CanonicalCode]:
+    """Isomorphism classes on n vertices reachable from K2 by the given move
+    kinds, as canonical codes; with both kinds, all minimally rigid graphs."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > max_n:
@@ -153,27 +154,15 @@ def enumerate_minimally_rigid(n: int, max_n: int = 10) -> set[CanonicalCode]:
         for cc in level:
             g = decode_int(cc.code, cc.n)
             for ext in enumerate_extensions(g):
-                nxt.add(canonical_code(apply_extension(g, ext)))
+                if ext.kind in kinds:
+                    nxt.add(canonical_code(apply_extension(g, ext)))
         level = nxt
     return level
 
 
 def enumerate_zero_ext_constructible(n: int, max_n: int = 9) -> int:
     """Number of isomorphism classes reachable from K2 by 0-extensions only."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n > max_n:
-        raise GuardError(f"n={n} exceeds guard {max_n}")
-    level = {canonical_code(k2())}
-    for k in range(2, n):
-        nxt: set[CanonicalCode] = set()
-        for cc in level:
-            g = decode_int(cc.code, cc.n)
-            for ext in enumerate_slots(g.n):
-                if ext.kind == ZERO:
-                    nxt.add(canonical_code(apply_extension(g, ext)))
-        level = nxt
-    return len(level)
+    return len(enumerate_minimally_rigid(n, max_n, kinds=(ZERO,)))
 
 
 def prop1_lower_bound(n: int) -> Fraction:

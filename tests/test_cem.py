@@ -42,8 +42,8 @@ class TestConfig:
 
     def test_eta0_default_interpolates(self):
         cfg = resolve_config(CemConfig(reward="nac", n=9))
-        lo = min(default_eta0("nac", 8), default_eta0("nac", 10))
-        hi = max(default_eta0("nac", 8), default_eta0("nac", 10))
+        lo = min(default_eta0(8), default_eta0(10))
+        hi = max(default_eta0(8), default_eta0(10))
         assert lo <= cfg.eta0 <= hi
 
     def test_validation_errors(self):

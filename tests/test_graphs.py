@@ -1,17 +1,55 @@
+import math
+
 import numpy as np
 import pytest
 
-from rigidsearch.graphs import (CanonicalCode, Graph, automorphism_count,
-                                canonical_code, canonical_labeling,
-                                chromatic_number, clustering, decode_int,
-                                encode_int, infer_n, is_hamiltonian, ldp,
-                                structural_report, triangles_at)
+from rigidsearch.cli import main
+from rigidsearch.graphs import (CanonicalCode, Graph, _degree_colors,
+                                _encode_under, _individualize, _refine,
+                                automorphism_count, canonical_code,
+                                canonical_labeling, chromatic_number,
+                                clustering, decode_int, encode_int, infer_n,
+                                is_hamiltonian, ldp, structural_report,
+                                triangles_at)
+from rigidsearch.rigidity import enumerate_minimally_rigid
 
 from conftest import NAC_COMPARISON, NAC_RECORDS, SPHERE_RECORDS
 
 
 def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def book(p):
+    """K2 plus p apexes, each joined to both ends of the K2."""
+    return Graph.from_edges(p + 2, [(0, 1)] + [(i, a) for a in range(2, p + 2)
+                                               for i in (0, 1)])
+
+
+def reference_search(g):
+    """The unpruned search tree: (minimum leaf code, number of leaves with
+    that code).  Aut acts freely on the leaves and any two leaves with equal
+    codes differ by an automorphism, so the number is |Aut|."""
+    rows, n = g.rows, g.n
+    best = [None, 0]
+
+    def descend(colors):
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            code = _encode_under(rows, n, colors)
+            if best[0] is None or code < best[0]:
+                best[:] = [code, 1]
+            elif code == best[0]:
+                best[1] += 1
+            return
+        for v in target:
+            descend(_refine(rows, _individualize(colors, v)))
+
+    descend(_refine(rows, _degree_colors(rows)))
+    return best[0], best[1]
 
 
 class TestGraph:
@@ -168,6 +206,75 @@ class TestCanonical:
         assert automorphism_count(k33) == 72
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert automorphism_count(path) == 2
+
+
+class TestPrunedSearch:
+    def assert_matches_reference(self, g):
+        code, aut = reference_search(g)
+        assert canonical_code(g) == CanonicalCode(g.n, code)
+        assert automorphism_count(g) == aut
+        lab = canonical_labeling(g)
+        assert encode_int(g.permuted(lab)) == code
+
+    def test_every_class_up_to_eight(self):
+        rng = np.random.default_rng(11)
+        total = 0
+        for n in range(2, 9):
+            for cc in sorted(enumerate_minimally_rigid(n)):
+                g = decode_int(cc.code, cc.n).permuted(list(rng.permutation(n)))
+                self.assert_matches_reference(g)
+                total += 1
+        assert total == 1 + 1 + 1 + 3 + 13 + 70 + 608
+
+    def test_fixture_certificates(self):
+        certs = [(n, code) for n, (code, _) in NAC_RECORDS.items()]
+        certs += [(n, code) for n, (code, _) in NAC_COMPARISON.items()]
+        certs += [(n, code) for n, code, _ in SPHERE_RECORDS]
+        assert len(certs) == 16
+        for n, code in certs:
+            self.assert_matches_reference(decode_int(code, n))
+
+    def test_book_family(self):
+        rng = np.random.default_rng(5)
+        for p in range(2, 17):
+            g = book(p)
+            assert automorphism_count(g) == 2 * math.factorial(p)
+            h = g.permuted(list(rng.permutation(g.n)))
+            assert canonical_code(h) == canonical_code(g)
+            assert automorphism_count(h) == 2 * math.factorial(p)
+            if p <= 6:
+                self.assert_matches_reference(h)
+
+    def test_cycle_unions(self):
+        # Unions of cycles are 2-regular, so refinement leaves every vertex
+        # in one cell that holds several orbits; the search must then find
+        # the smallest leaf outside the first child's subtree.
+        def partitions(n, lo=3):
+            if n == 0:
+                yield []
+            for k in range(lo, n + 1):
+                for rest in partitions(n - k, k):
+                    yield [k] + rest
+
+        rng = np.random.default_rng(0)
+        for n in range(6, 12):
+            for parts in partitions(n):
+                edges, off = [], 0
+                for k in parts:
+                    edges += [(off + i, off + (i + 1) % k) for i in range(k)]
+                    off += k
+                g = Graph.from_edges(n, edges)
+                for _ in range(3):
+                    self.assert_matches_reference(g.permuted(list(rng.permutation(n))))
+
+    def test_search_with_symmetric_rollouts_finishes(self, capsys, tmp_path):
+        # First-generation rollouts at n=13 include graphs with large
+        # equitable cells, which an unpruned search tree cannot finish.
+        code = main(["search", "--reward", "nac", "--n", "13", "--m", "50",
+                     "--generations", "1", "--seed", "0",
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("best 13 ")
 
 
 class TestStructure:
