@@ -23,8 +23,8 @@ import numpy as np
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
 from .oracle import OracleError, OraclePool, stub_oracle_command
 from .policy import (FLAT_VARIANT, GIN_VARIANT, PolicyParams, action_distribution,
-                     adam_step, extend_to_n, init_params, load_params,
-                     loss_and_gradients, sample_action, save_params)
+                     adam_step, extend_to_n, flat_output_dim, init_params,
+                     load_params, loss_and_gradients, sample_action, save_params)
 from .rewards import CachedReward, make_reward, two_stage_select
 from .rigidity import Extension, apply_extension, k2
 
@@ -46,11 +46,6 @@ SCHEDULES = ("eq5", "constant", "none")
 ETA0_ANCHORS: dict[int, float] = {7: 1.4, 8: 1.4, 10: 0.8}
 
 
-def _slot_space(n: int) -> int:
-    k = n - 1
-    return k * (k - 1) // 2 * (k - 1)
-
-
 def default_eta0(n: int) -> float:
     """Interpolate the calibrated anchors log-linearly in action-space size."""
     ns = sorted(ETA0_ANCHORS)
@@ -60,7 +55,7 @@ def default_eta0(n: int) -> float:
         return ETA0_ANCHORS[ns[-1]]
     for lo, hi in zip(ns, ns[1:]):
         if lo <= n <= hi:
-            x, x0, x1 = (math.log(_slot_space(v)) for v in (n, lo, hi))
+            x, x0, x1 = (math.log(flat_output_dim(v)) for v in (n, lo, hi))
             w = (x - x0) / (x1 - x0)
             return ETA0_ANCHORS[lo] * (1 - w) + ETA0_ANCHORS[hi] * w
     raise AssertionError
@@ -80,7 +75,7 @@ class CemConfig:
     beta: float = 7.0
     epochs: int = 4
     lr: float = 5e-4
-    early_stop: int | None = None       # 250 for nac, 500 otherwise
+    early_stop: int | None = None       # m // 4 for nac, m // 2 otherwise
     seed: int = 0
     policy: str = GIN_VARIANT
     oracle: str | None = None
@@ -103,7 +98,7 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
     if out.rho_main is None:
         out.rho_main = 1.0 if out.reward == "nac" else 0.256
     if out.early_stop is None:
-        out.early_stop = 250 if out.reward == "nac" else 500
+        out.early_stop = out.m // 4 if out.reward == "nac" else out.m // 2
     if out.eta0 is None:
         out.eta0 = default_eta0(out.n)
     if out.n < 3:
@@ -291,13 +286,15 @@ class RunResult:
     params: PolicyParams
 
 
+KEEP_CHECKPOINTS = 3
+
+
 class _RunDir:
     """Writes the run directory artifacts: config, generations.csv, best.txt,
-    checkpoint-<t> files (older checkpoints pruned, the latest kept)."""
+    checkpoint-<t> files (only the latest KEEP_CHECKPOINTS kept)."""
 
-    def __init__(self, path: str | None, cfg: CemConfig, keep_checkpoints: int = 3):
+    def __init__(self, path: str | None, cfg: CemConfig):
         self.path = path
-        self.keep = keep_checkpoints
         self._written: list[str] = []
         if not path:
             return
@@ -328,7 +325,7 @@ class _RunDir:
         fn = os.path.join(self.path, f"checkpoint-{state.completed}")
         save_checkpoint(fn, state)
         self._written.append(fn)
-        while len(self._written) > self.keep:
+        while len(self._written) > KEEP_CHECKPOINTS:
             old = self._written.pop(0)
             if os.path.exists(old):
                 os.remove(old)

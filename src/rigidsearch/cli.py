@@ -46,6 +46,8 @@ def _oracle_client(args) -> OracleClient | None:
         return OracleClient(args.oracle)
     if getattr(args, "oracle_table", None):
         return OracleClient(stub_oracle_command(args.oracle_table))
+    if getattr(args, "reward", "nac") != "nac":
+        raise ConfigError(f"reward {args.reward!r} needs --oracle or --oracle-table")
     return None
 
 
@@ -63,8 +65,9 @@ def _named_core(name: str) -> Graph:
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--oracle", help="oracle worker command line")
-    p.add_argument("--oracle-table", help="serve oracle replies from this table file")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--oracle", help="oracle worker command line")
+    group.add_argument("--oracle-table", help="serve oracle replies from this table file")
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 import sys
-import threading
 from importlib import resources
 
 from .graphs import Graph, encode_int
@@ -42,7 +41,7 @@ class OracleDomainError(OracleError):
 
 
 class OracleClient:
-    """One oracle child process; queries are serialized per client."""
+    """One oracle child process, answering one query at a time."""
 
     def __init__(self, command: str | list[str]):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -57,23 +56,21 @@ class OracleClient:
             )
         except OSError as exc:
             raise OracleTransportError(f"cannot start oracle {argv!r}: {exc}") from exc
-        self._lock = threading.Lock()
         self.request_count = 0
 
     def query(self, invariant: str, n: int, code: int) -> int:
         if invariant not in INVARIANTS:
             raise ValueError(f"unknown invariant {invariant!r}")
-        with self._lock:
-            if self._proc.poll() is not None:
-                raise OracleTransportError(
-                    f"oracle exited with status {self._proc.returncode}")
-            try:
-                self._proc.stdin.write(f"{invariant.upper()} {n} {code}\n")
-                self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise OracleTransportError(f"oracle pipe failed: {exc}") from exc
-            self.request_count += 1
+        if self._proc.poll() is not None:
+            raise OracleTransportError(
+                f"oracle exited with status {self._proc.returncode}")
+        try:
+            self._proc.stdin.write(f"{invariant.upper()} {n} {code}\n")
+            self._proc.stdin.flush()
+            line = self._proc.stdout.readline()
+        except (BrokenPipeError, OSError) as exc:
+            raise OracleTransportError(f"oracle pipe failed: {exc}") from exc
+        self.request_count += 1
         if line == "":
             raise OracleTransportError("oracle closed its output stream")
         parts = line.strip().split(maxsplit=1)
@@ -114,16 +111,14 @@ class OraclePool:
             raise ValueError("need at least one oracle process")
         self.clients = [OracleClient(command) for _ in range(procs)]
         self._next = 0
-        self._lock = threading.Lock()
 
     @property
     def request_count(self) -> int:
         return sum(c.request_count for c in self.clients)
 
     def query(self, invariant: str, n: int, code: int) -> int:
-        with self._lock:
-            client = self.clients[self._next]
-            self._next = (self._next + 1) % len(self.clients)
+        client = self.clients[self._next]
+        self._next = (self._next + 1) % len(self.clients)
         return client.query(invariant, n, code)
 
     def close(self) -> None:

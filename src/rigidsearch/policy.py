@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, clustering, ldp
-from .rigidity import ONE, ZERO, Extension, enumerate_slots
+from .rigidity import ONE, Extension, enumerate_slots, slot_is_valid
 
 FEATURE_DIM = 8
 EMBED_DIM = 32
@@ -38,6 +38,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 FORMAT_VERSION = 1
+
+MAX_RESAMPLE = 32  # invalid draws rejected before sampling the valid mass
 
 GIN_VARIANT = "gin"
 FLAT_VARIANT = "flat-mlp"
@@ -118,11 +120,15 @@ def init_params(variant: str, n_max: int, seed=0) -> PolicyParams:
 # forward passes
 
 
+def _check_state_size(params: PolicyParams, k: int) -> None:
+    if not 2 <= k <= params.n_max - 1:
+        raise ValueError(f"state size {k} outside policy range [2, {params.n_max - 1}]")
+
+
 def build_features(g: Graph, params: PolicyParams) -> np.ndarray:
     """(k, 8) matrix of [LDP; lambda_k; clustering] rows."""
     k = g.n
-    if not 2 <= k <= params.n_max - 1:
-        raise ValueError(f"state size {k} outside policy range [2, {params.n_max - 1}]")
+    _check_state_size(params, k)
     lam = params.tensors["step_embed"][k - 2]
     feats = np.zeros((k, FEATURE_DIM))
     for v in range(k):
@@ -139,6 +145,34 @@ def _dense_adj(g: Graph) -> np.ndarray:
     return a
 
 
+def _mlp_forward(t: dict[str, np.ndarray], prefix: str, x: np.ndarray, depth: int):
+    """`depth` Linear layers with ReLU between them (none after the last) on
+    the rows of x; returns the output and the (input, pre-activation) cache
+    of every layer."""
+    cache = []
+    z = x
+    for i in range(1, depth + 1):
+        a = x if i == 1 else np.maximum(z, 0.0)
+        z = a @ t[f"{prefix}.W{i}"] + t[f"{prefix}.b{i}"]
+        cache.append((a, z))
+    return z, cache
+
+
+def _mlp_backward(t: dict[str, np.ndarray], prefix: str, cache, dout: np.ndarray,
+                  grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Accumulate the weight gradients of an _mlp_forward pass into grads and
+    return d/dx."""
+    d = dout
+    for i in range(len(cache), 0, -1):
+        a_in = cache[i - 1][0]
+        grads[f"{prefix}.W{i}"] += a_in.T @ d
+        grads[f"{prefix}.b{i}"] += d.sum(axis=0)
+        d = d @ t[f"{prefix}.W{i}"].T
+        if i > 1:
+            d = d * (cache[i - 2][1] > 0)
+    return d
+
+
 def gin_forward(params: PolicyParams, g: Graph, feats: np.ndarray | None = None):
     """Vertex embeddings (k, 32) plus the caches backprop needs."""
     t = params.tensors
@@ -148,14 +182,11 @@ def gin_forward(params: PolicyParams, g: Graph, feats: np.ndarray | None = None)
     h = feats
     layers = []
     for l in range(GIN_LAYERS):
-        eps = t[f"gin{l}.eps"]
-        s = (1.0 + eps) * h + adj @ h
-        z1 = s @ t[f"gin{l}.W1"] + t[f"gin{l}.b1"]
-        a1 = np.maximum(z1, 0.0)
-        out = a1 @ t[f"gin{l}.W2"] + t[f"gin{l}.b2"]
-        layers.append({"h_in": h, "s": s, "z1": z1, "a1": a1})
+        s = (1.0 + t[f"gin{l}.eps"]) * h + adj @ h
+        out, mlp = _mlp_forward(t, f"gin{l}", s, 2)
+        layers.append((h, mlp))
         h = out
-    return h, {"adj": adj, "feats": feats, "layers": layers}
+    return h, {"adj": adj, "layers": layers}
 
 
 @lru_cache(maxsize=None)
@@ -192,16 +223,6 @@ def slot_representation(params: PolicyParams, g: Graph, h: np.ndarray):
     aux = {"a_idx": a_idx, "v_idx": v_idx, "w_idx": w_idx,
            "is_one": is_one, "valid": valid}
     return rep, aux
-
-
-def _head_forward(params: PolicyParams, rep: np.ndarray):
-    t = params.tensors
-    z1 = rep @ t["head.W1"] + t["head.b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ t["head.W2"] + t["head.b2"]
-    a2 = np.maximum(z2, 0.0)
-    logits = (a2 @ t["head.W3"] + t["head.b3"])[:, 0]
-    return logits, {"rep": rep, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -245,9 +266,14 @@ def _triangle_positions(n_max: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
+def _slot_index_table(k: int) -> dict[Extension, int]:
+    return {e: i for i, e in enumerate(enumerate_slots(k))}
+
+
+@lru_cache(maxsize=None)
 def _flat_present(n_max: int, k: int) -> np.ndarray:
     """Positions of the k-state slots inside the fixed maximal slot list."""
-    table = {e: i for i, e in enumerate(enumerate_slots(n_max - 1))}
+    table = _slot_index_table(n_max - 1)
     return np.array([table[e] for e in enumerate_slots(k)])
 
 
@@ -259,48 +285,73 @@ def flat_input_vector(g: Graph, n_max: int) -> np.ndarray:
     return x
 
 
-def _flat_forward(params: PolicyParams, g: Graph):
+# ---------------------------------------------------------------------------
+# scoring
+
+
+def _forward(params: PolicyParams, g: Graph):
+    """Logits and validity of every slot of g, and `backward(dz, grads)`,
+    which accumulates the parameter gradients of d(loss)/d(logits) = dz.
+
+    The flat-MLP ablation is a plain MLP on the zero-padded adjacency bits
+    with one logit per slot of the maximal slot list; slots absent at the
+    current size carry no probability mass.  It is deliberately not
+    permutation equivariant."""
     t = params.tensors
-    x = flat_input_vector(g, params.n_max)
-    z1 = x @ t["flat.W1"] + t["flat.b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ t["flat.W2"] + t["flat.b2"]
-    a2 = np.maximum(z2, 0.0)
-    full = a2 @ t["flat.W3"] + t["flat.b3"]
-    present = _flat_present(params.n_max, g.n)
-    logits = full[present]
-    return logits, {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2, "present": present}
+    if params.variant == FLAT_VARIANT:
+        _check_state_size(params, g.n)
+        x = flat_input_vector(g, params.n_max)[None, :]
+        full, cache = _mlp_forward(t, "flat", x, 3)
+        present = _flat_present(params.n_max, g.n)
+        valid = np.array([slot_is_valid(g, e) for e in enumerate_slots(g.n)])
 
+        def backward(dz, grads):
+            dfull = np.zeros_like(full)
+            dfull[0, present] = dz
+            _mlp_backward(t, "flat", cache, dfull, grads)
 
-def flat_mlp_policy(params: PolicyParams, g: Graph) -> ActionDistribution:
-    """Ablation policy: plain MLP on the zero-padded adjacency bits, one
-    logit per slot of the maximal slot indexing; slots absent at the current
-    size carry no probability mass.  Deliberately not permutation
-    equivariant."""
-    if not 2 <= g.n <= params.n_max - 1:
-        raise ValueError(f"state size {g.n} outside policy range [2, {params.n_max - 1}]")
-    logits, _ = _flat_forward(params, g)
-    slots, _, _, _, is_one = _slot_arrays(g.n)
-    valid = np.array([e.kind == ZERO or g.has_edge(*e.pair) for e in slots])
-    return ActionDistribution(g.n, valid, _softmax(logits), logits)
+        return full[0, present], valid, backward
+
+    h, gin_cache = gin_forward(params, g)
+    rep, aux = slot_representation(params, g, h)
+    out, head_cache = _mlp_forward(t, "head", rep, 3)
+
+    def backward(dz, grads):
+        drep = _mlp_backward(t, "head", head_cache, dz[:, None], grads)
+        # scatter slot-rep gradients back onto vertex embeddings
+        k = g.n
+        dphi = drep[:, :EMBED_DIM]
+        dpsi = drep[:, EMBED_DIM:2 * EMBED_DIM] * aux["is_one"][:, None]
+        dhp = np.zeros((k + 1, EMBED_DIM))
+        np.add.at(dhp, aux["a_idx"], dphi)
+        np.add.at(dhp, aux["v_idx"], dphi + dpsi)
+        np.add.at(dhp, aux["w_idx"], dphi + dpsi)
+        dh = dhp[:k]
+        adj = gin_cache["adj"]
+        for l in range(GIN_LAYERS - 1, -1, -1):
+            h_in, mlp = gin_cache["layers"][l]
+            ds = _mlp_backward(t, f"gin{l}", mlp, dh, grads)
+            grads[f"gin{l}.eps"] += (ds * h_in).sum()
+            dh = (1.0 + t[f"gin{l}.eps"]) * ds + adj @ ds
+        # only the step-embedding columns of the input features are learnable
+        grads["step_embed"][k - 2] += dh[:, 5:7].sum(axis=0)
+
+    return out[:, 0], aux["valid"], backward
 
 
 def action_distribution(params: PolicyParams, g: Graph) -> ActionDistribution:
     """Softmax over every slot of the current state, invalid ones included."""
-    if params.variant == FLAT_VARIANT:
-        return flat_mlp_policy(params, g)
-    h, _ = gin_forward(params, g)
-    rep, aux = slot_representation(params, g, h)
-    logits, _ = _head_forward(params, rep)
-    return ActionDistribution(g.n, aux["valid"], _softmax(logits), logits)
+    logits, valid, _ = _forward(params, g)
+    return ActionDistribution(g.n, valid, _softmax(logits), logits)
 
 
-def sample_action(dist: ActionDistribution, rng, max_resample: int = 32) -> Extension:
+def sample_action(dist: ActionDistribution, rng) -> Extension:
     """Draw from the full softmax; invalid draws are rejected and retried up
-    to the cap, after which the valid mass is renormalized and sampled."""
+    to MAX_RESAMPLE times, after which the valid mass is renormalized and
+    sampled."""
     cum = np.cumsum(dist.probs)
     last = len(cum) - 1
-    for _ in range(max_resample):
+    for _ in range(MAX_RESAMPLE):
         i = min(int(np.searchsorted(cum, rng.random(), side="right")), last)
         if dist.valid[i]:
             return dist.slots[i]
@@ -317,10 +368,6 @@ def sample_action(dist: ActionDistribution, rng, max_resample: int = 32) -> Exte
 # loss and gradients
 
 
-def _zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
-
-
 def _logit_grad_terms(logits: np.ndarray, action_counts: dict[int, int], eta: float):
     """Loss and d/dlogits of sum_a c_a * (-log p_a) - eta * c_tot * H(p)."""
     z = logits - logits.max()
@@ -334,79 +381,6 @@ def _logit_grad_terms(logits: np.ndarray, action_counts: dict[int, int], eta: fl
         dz[a] -= c
     dz += eta * c_tot * p * (logp + ent)
     return float(loss), dz, ent
-
-
-@lru_cache(maxsize=None)
-def _slot_index_table(k: int) -> dict[Extension, int]:
-    return {e: i for i, e in enumerate(enumerate_slots(k))}
-
-
-def _gin_pair_grads(params, g, action_counts, eta, grads):
-    t = params.tensors
-    h, cache = gin_forward(params, g)
-    rep, aux = slot_representation(params, g, h)
-    logits, hcache = _head_forward(params, rep)
-    loss, dz, _ = _logit_grad_terms(logits, action_counts, eta)
-
-    # head: logits = relu(relu(rep W1 + b1) W2 + b2) W3 + b3
-    dz2d = dz[:, None]
-    grads["head.W3"] += hcache["a2"].T @ dz2d
-    grads["head.b3"] += dz2d.sum(axis=0)
-    da2 = dz2d @ t["head.W3"].T
-    dzz2 = da2 * (hcache["z2"] > 0)
-    grads["head.W2"] += hcache["a1"].T @ dzz2
-    grads["head.b2"] += dzz2.sum(axis=0)
-    da1 = dzz2 @ t["head.W2"].T
-    dzz1 = da1 * (hcache["z1"] > 0)
-    grads["head.W1"] += rep.T @ dzz1
-    grads["head.b1"] += dzz1.sum(axis=0)
-    drep = dzz1 @ t["head.W1"].T
-
-    # scatter slot-rep gradients back onto vertex embeddings
-    k = g.n
-    dphi = drep[:, :EMBED_DIM]
-    dpsi = drep[:, EMBED_DIM:2 * EMBED_DIM] * aux["is_one"][:, None]
-    dhp = np.zeros((k + 1, EMBED_DIM))
-    np.add.at(dhp, aux["a_idx"], dphi)
-    np.add.at(dhp, aux["v_idx"], dphi + dpsi)
-    np.add.at(dhp, aux["w_idx"], dphi + dpsi)
-    dh = dhp[:k]
-
-    adj = cache["adj"]
-    for l in range(GIN_LAYERS - 1, -1, -1):
-        lc = cache["layers"][l]
-        grads[f"gin{l}.W2"] += lc["a1"].T @ dh
-        grads[f"gin{l}.b2"] += dh.sum(axis=0)
-        da1 = dh @ t[f"gin{l}.W2"].T
-        dz1 = da1 * (lc["z1"] > 0)
-        grads[f"gin{l}.W1"] += lc["s"].T @ dz1
-        grads[f"gin{l}.b1"] += dz1.sum(axis=0)
-        ds = dz1 @ t[f"gin{l}.W1"].T
-        grads[f"gin{l}.eps"] += (ds * lc["h_in"]).sum()
-        dh = (1.0 + t[f"gin{l}.eps"]) * ds + adj @ ds
-
-    # only the step-embedding columns of the input features are learnable
-    grads["step_embed"][g.n - 2] += dh[:, 5:7].sum(axis=0)
-    return loss
-
-
-def _flat_pair_grads(params, g, action_counts, eta, grads):
-    t = params.tensors
-    logits, cache = _flat_forward(params, g)
-    loss, dz, _ = _logit_grad_terms(logits, action_counts, eta)
-    dfull = np.zeros(flat_output_dim(params.n_max))
-    dfull[cache["present"]] = dz
-    grads["flat.W3"] += np.outer(cache["a2"], dfull)
-    grads["flat.b3"] += dfull
-    da2 = dfull @ t["flat.W3"].T
-    dz2 = da2 * (cache["z2"] > 0)
-    grads["flat.W2"] += np.outer(cache["a1"], dz2)
-    grads["flat.b2"] += dz2
-    da1 = dz2 @ t["flat.W2"].T
-    dz1 = da1 * (cache["z1"] > 0)
-    grads["flat.W1"] += np.outer(cache["x"], dz1)
-    grads["flat.b1"] += dz1
-    return loss
 
 
 def loss_and_gradients(params: PolicyParams, dataset, eta: float):
@@ -429,13 +403,13 @@ def loss_and_gradients(params: PolicyParams, dataset, eta: float):
         idx = _slot_index_table(g.n)[ext]
         counts = groups[key][1]
         counts[idx] = counts.get(idx, 0) + 1
-    grads = _zero_grads(params)
+    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     total = 0.0
     for g, counts in groups.values():
-        if params.variant == FLAT_VARIANT:
-            total += _flat_pair_grads(params, g, counts, eta, grads)
-        else:
-            total += _gin_pair_grads(params, g, counts, eta, grads)
+        logits, _, backward = _forward(params, g)
+        loss, dz, _ = _logit_grad_terms(logits, counts, eta)
+        backward(dz, grads)
+        total += loss
     n = len(dataset)
     for name in grads:
         grads[name] /= n

@@ -33,6 +33,14 @@ class TestConfig:
         sph = resolve_config(CemConfig(reward="sphere", n=8, oracle="true"))
         assert (sph.generations, sph.rho_main, sph.early_stop) == (250, 0.256, 500)
 
+    def test_early_stop_default_scales_with_m(self):
+        # A generation finds at most m new classes, so a fixed threshold
+        # above m would end every run after its first generation.
+        nac = resolve_config(CemConfig(reward="nac", n=8, m=200))
+        assert nac.early_stop == 50
+        sph = resolve_config(CemConfig(reward="sphere", n=8, m=200, oracle="true"))
+        assert sph.early_stop == 100
+
     def test_explicit_values_kept(self):
         cfg = resolve_config(CemConfig(reward="nac", n=8, generations=9,
                                        rho_main=0.5, early_stop=7,

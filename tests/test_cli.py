@@ -5,6 +5,7 @@ import pytest
 from rigidsearch.cli import main
 from rigidsearch.graphs import Graph, canonical_code, decode_int, encode_int
 from rigidsearch.oracle import bundled_stub_table
+from rigidsearch.policy import init_params, save_params
 
 from conftest import NAC_RECORDS
 
@@ -266,6 +267,20 @@ class TestTransferEval:
         assert code == 2
 
 
+class TestOracleFlags:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--reward", "sphere", "--n", "5"],
+        ["verify", "7", "--checks", "oracle"],
+        ["impact", "7", "--reward", "plane"],
+        ["transfer-eval", "weights.npz", "--n", "5", "--reward", "plane"],
+    ])
+    def test_both_oracle_flags_are_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--oracle", "true", "--oracle-table", bundled_stub_table()])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 class TestExitCodeContract:
     def test_domain_error_is_one(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "8", "--n", "3")
@@ -280,3 +295,16 @@ class TestExitCodeContract:
         code, _, _ = run_cli(capsys, "verify", "7", "--checks", "oracle",
                              "--oracle", "false")
         assert code == 3
+
+    def test_impact_oracle_reward_without_oracle_is_two(self, capsys):
+        code, _, err = run_cli(capsys, "impact", "7", "--n", "3", "--reward", "sphere")
+        assert code == 2
+        assert "needs --oracle" in err
+
+    def test_transfer_eval_oracle_reward_without_oracle_is_two(self, capsys, tmp_path):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 6), str(weights))
+        code, _, err = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
+                               "--reward", "plane")
+        assert code == 2
+        assert "needs --oracle" in err
