@@ -156,18 +156,48 @@ class RolloutTrace:
     reward: int | None = None
 
 
-def rollout(params: PolicyParams, n: int, rng) -> RolloutTrace:
-    """Sample one construction K2 -> G_n from the policy."""
+def rollouts(params: PolicyParams, n: int, rngs) -> list[RolloutTrace]:
+    """Sample one construction K2 -> G_n per generator, all in lockstep.
+
+    At each step the rollouts are grouped by their current labelled state:
+    a group shares one policy forward, each member draws its move from its
+    own generator, members drawing the same move share the child graph, and
+    each distinct final graph is canonicalized once.  A rollout consumes
+    only its own generator, so every trace equals the one a lone rollout
+    with that generator would give.  A generator shared between rollouts
+    would be consumed in a different order, so one appearing twice raises
+    ValueError; call `rollout` in a loop for a shared generator."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    g = k2()
-    pairs = []
-    while g.n < n:
-        dist = action_distribution(params, g)
-        ext = sample_action(dist, rng)
-        pairs.append((g, ext))
-        g = apply_extension(g, ext)
-    return RolloutTrace(tuple(pairs), g, canonical_code(g))
+    rngs = list(rngs)
+    if len({id(r) for r in rngs}) < len(rngs):
+        raise ValueError("the same generator appears twice; use rollout in a loop")
+    states = [k2()] * len(rngs)
+    pairs: list[list[tuple[Graph, Extension]]] = [[] for _ in rngs]
+    for _ in range(n - 2):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, g in enumerate(states):
+            groups.setdefault(g.rows, []).append(i)
+        for members in groups.values():
+            g = states[members[0]]
+            dist = action_distribution(params, g)
+            children: dict[Extension, Graph] = {}
+            for i in members:
+                ext = sample_action(dist, rngs[i])
+                if ext not in children:
+                    children[ext] = apply_extension(g, ext)
+                pairs[i].append((g, ext))
+                states[i] = children[ext]
+    codes: dict[tuple[int, ...], CanonicalCode] = {}
+    for g in states:
+        if g.rows not in codes:
+            codes[g.rows] = canonical_code(g)
+    return [RolloutTrace(tuple(p), g, codes[g.rows]) for p, g in zip(pairs, states)]
+
+
+def rollout(params: PolicyParams, n: int, rng) -> RolloutTrace:
+    """Sample one construction K2 -> G_n from the policy."""
+    return rollouts(params, n, [rng])[0]
 
 
 @dataclass
@@ -219,9 +249,8 @@ def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
     t = state.completed + 1
     start = time.monotonic()
     population = list(state.survivors)
-    for i in range(len(population), cfg.m):
-        rng = np.random.default_rng((cfg.seed, t, i))
-        population.append(rollout(state.params, cfg.n, rng))
+    rngs = [np.random.default_rng((cfg.seed, t, i)) for i in range(len(population), cfg.m)]
+    population += rollouts(state.params, cfg.n, rngs)
     codes = [tr.code for tr in population]
     fresh = {c for c in codes if c not in state.seen}
     state.seen |= fresh
@@ -459,6 +488,18 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
 # deployment evaluation and schedule study
 
 
+# Most frozen-policy rollouts advanced in lockstep at once: the traces a
+# search generation holds at the default m.
+EVAL_CHUNK = 1000
+
+
+def _frozen_rollouts(params: PolicyParams, n: int, seed: int, start: int,
+                     stop: int) -> list[RolloutTrace]:
+    """Lockstep traces under the generators (seed, 0, i), start <= i < stop."""
+    return rollouts(params, n, [np.random.default_rng((seed, 0, i))
+                                for i in range(start, stop)])
+
+
 @dataclass
 class DeployResult:
     best_value: int
@@ -481,11 +522,14 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
     attempts = 0
     stale = 0
     while len(codes) < count and stale < patience:
-        rng = np.random.default_rng((seed, 0, attempts))
-        before = len(codes)
-        codes.add(rollout(params, n, rng).code)
-        attempts += 1
-        stale = 0 if len(codes) > before else stale + 1
+        # each rollout raises len(codes) or stale by at most one, so a chunk
+        # this size ends no later than the stopping point
+        chunk = min(EVAL_CHUNK, count - len(codes), patience - stale)
+        for tr in _frozen_rollouts(params, n, seed, attempts, attempts + chunk):
+            before = len(codes)
+            codes.add(tr.code)
+            attempts += 1
+            stale = 0 if len(codes) > before else stale + 1
     values = {cc: reward.value(cc) for cc in sorted(codes)}
     best_cc = min(values, key=lambda cc: (-values[cc], cc))
     return DeployResult(
@@ -507,10 +551,10 @@ def regeneration_frequency(params: PolicyParams, n: int, reward: CachedReward,
     if params.n_max < n:
         params = extend_to_n(params, n)
     hits = 0
-    for i in range(rollouts):
-        rng = np.random.default_rng((seed, 0, i))
-        if reward.value(rollout(params, n, rng).code) == target_value:
-            hits += 1
+    for start in range(0, rollouts, EVAL_CHUNK):
+        for tr in _frozen_rollouts(params, n, seed, start, min(start + EVAL_CHUNK, rollouts)):
+            if reward.value(tr.code) == target_value:
+                hits += 1
     return hits / rollouts
 
 

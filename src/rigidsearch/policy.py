@@ -165,7 +165,9 @@ def _mlp_backward(t: dict[str, np.ndarray], prefix: str, cache, dout: np.ndarray
     d = dout
     for i in range(len(cache), 0, -1):
         a_in = cache[i - 1][0]
-        grads[f"{prefix}.W{i}"] += a_in.T @ d
+        # one row: each entry is a single product, and np.outer skips the
+        # slow non-BLAS matmul loop numpy takes for that shape
+        grads[f"{prefix}.W{i}"] += a_in.T @ d if len(a_in) > 1 else np.outer(a_in, d)
         grads[f"{prefix}.b{i}"] += d.sum(axis=0)
         d = d @ t[f"{prefix}.W{i}"].T
         if i > 1:
@@ -290,8 +292,10 @@ def flat_input_vector(g: Graph, n_max: int) -> np.ndarray:
 
 
 def _forward(params: PolicyParams, g: Graph):
-    """Logits and validity of every slot of g, and `backward(dz, grads)`,
-    which accumulates the parameter gradients of d(loss)/d(logits) = dz.
+    """Logits of every slot of g, `valid()`, which returns the slots'
+    validity mask, and `backward(dz, grads)`, which accumulates the
+    parameter gradients of d(loss)/d(logits) = dz.  Training never asks
+    for the mask, so the flat variant builds it only on demand.
 
     The flat-MLP ablation is a plain MLP on the zero-padded adjacency bits
     with one logit per slot of the maximal slot list; slots absent at the
@@ -303,7 +307,9 @@ def _forward(params: PolicyParams, g: Graph):
         x = flat_input_vector(g, params.n_max)[None, :]
         full, cache = _mlp_forward(t, "flat", x, 3)
         present = _flat_present(params.n_max, g.n)
-        valid = np.array([slot_is_valid(g, e) for e in enumerate_slots(g.n)])
+
+        def valid():
+            return np.array([slot_is_valid(g, e) for e in enumerate_slots(g.n)])
 
         def backward(dz, grads):
             dfull = np.zeros_like(full)
@@ -336,13 +342,13 @@ def _forward(params: PolicyParams, g: Graph):
         # only the step-embedding columns of the input features are learnable
         grads["step_embed"][k - 2] += dh[:, 5:7].sum(axis=0)
 
-    return out[:, 0], aux["valid"], backward
+    return out[:, 0], lambda: aux["valid"], backward
 
 
 def action_distribution(params: PolicyParams, g: Graph) -> ActionDistribution:
     """Softmax over every slot of the current state, invalid ones included."""
     logits, valid, _ = _forward(params, g)
-    return ActionDistribution(g.n, valid, _softmax(logits), logits)
+    return ActionDistribution(g.n, valid(), _softmax(logits), logits)
 
 
 def sample_action(dist: ActionDistribution, rng) -> Extension:
