@@ -21,16 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
-from .oracle import OracleError, OraclePool, stub_oracle_command
+from .oracle import OracleError, open_oracle
 from .policy import (FLAT_VARIANT, GIN_VARIANT, PolicyParams, action_distribution,
                      adam_step, extend_to_n, flat_output_dim, init_params,
                      load_params, loss_and_gradients, sample_action, save_params)
-from .rewards import CachedReward, make_reward, two_stage_select
+from .rewards import CachedReward, ConfigError, make_reward, two_stage_select
 from .rigidity import Extension, apply_extension, k2
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent search configuration."""
 
 
 REWARDS = ("nac", "plane", "sphere", "mbezout")
@@ -410,14 +406,6 @@ def load_checkpoint(path: str) -> RunState:
     return state
 
 
-def _make_oracle(cfg: CemConfig) -> OraclePool | None:
-    if cfg.oracle:
-        return OraclePool(cfg.oracle, cfg.oracle_procs)
-    if cfg.oracle_table:
-        return OraclePool(stub_oracle_command(cfg.oracle_table), cfg.oracle_procs)
-    return None
-
-
 def _initial_params(cfg: CemConfig) -> PolicyParams:
     if cfg.init_weights:
         params = load_params(cfg.init_weights)
@@ -434,8 +422,7 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
     """Full search: loops run_generation until the generation budget, the
     early-stop rule, or the optional target value ends it."""
     cfg = resolve_config(cfg)
-    oracle = _make_oracle(cfg)
-    try:
+    with open_oracle(cfg.oracle, cfg.oracle_table, cfg.oracle_procs) as oracle:
         main = make_reward(cfg.reward, oracle, nac_guard=cfg.nac_guard)
         surrogate = make_reward("mbezout", oracle) if cfg.rho_main < 1 else None
         if resume_from:
@@ -479,9 +466,6 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
             stopped_early=stopped_early,
             params=state.params,
         )
-    finally:
-        if oracle:
-            oracle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +500,8 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
     are collected, evaluate the reward on each, and report the maximum with
     the value histogram.  Stops early (saturation) after `patience`
     consecutive rollouts produce no new class."""
+    if count < 1 or patience < 1:
+        raise ConfigError(f"need count >= 1 and patience >= 1, got {count} and {patience}")
     if params.n_max < n:
         params = extend_to_n(params, n)
     codes: set[CanonicalCode] = set()

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import re
 import sys
+import typing
 
 import yaml
 
@@ -21,12 +22,11 @@ from .cem import CemConfig, ConfigError
 from .graphs import (Graph, automorphism_count, canonical_code, decode_int,
                      encode_int, infer_n, structural_report)
 from .nac import count_nac
-from .oracle import (INVARIANTS, OracleClient, OracleDomainError,
-                     OracleProtocolError, OracleTransportError, oracle_query,
-                     stub_oracle_command)
+from .oracle import (INVARIANTS, OracleDomainError, OracleProtocolError,
+                     OracleTransportError, open_oracle, oracle_query)
 from .policy import load_params
 from .rewards import make_reward
-from .rigidity import (GuardError, ONE, ZERO, enumerate_minimally_rigid,
+from .rigidity import (ONE, ZERO, enumerate_minimally_rigid,
                        enumerate_zero_ext_constructible, extension_impact,
                        is_minimally_rigid, peel_to_core, prop1_lower_bound)
 
@@ -39,16 +39,6 @@ def _decode_arg(code: int, n: int | None) -> Graph:
     if n is None:
         n = infer_n(code)
     return decode_int(code, n)
-
-
-def _oracle_client(args) -> OracleClient | None:
-    if getattr(args, "oracle", None):
-        return OracleClient(args.oracle)
-    if getattr(args, "oracle_table", None):
-        return OracleClient(stub_oracle_command(args.oracle_table))
-    if getattr(args, "reward", "nac") != "nac":
-        raise ConfigError(f"reward {args.reward!r} needs --oracle or --oracle-table")
-    return None
 
 
 def _named_core(name: str) -> Graph:
@@ -99,15 +89,24 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 
 
 def load_config_file(path: str) -> dict:
-    """Flat YAML mapping restricted to the search configuration keys."""
+    """Flat YAML mapping restricted to the search configuration keys, each
+    value of exactly its CemConfig field's type (an int also passes as a
+    float, a bool never as an int)."""
     with open(path, encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    known = {f.name for f in dataclasses.fields(CemConfig)}
-    unknown = sorted(set(data) - known)
+    hints = typing.get_type_hints(CemConfig)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        types = typing.get_args(hints[key]) or (hints[key],)
+        if float in types:
+            types = (int, *types)
+        if type(value) not in types:
+            want = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ConfigError(f"{path}: config key {key!r} must be {want}, got {value!r}")
     return data
 
 
@@ -171,13 +170,12 @@ def cmd_verify(args) -> int:
         elif check == "aut":
             print(f"automorphisms {automorphism_count(g)}")
         elif check == "oracle":
-            client = _oracle_client(args)
-            if client is None:
+            if not (args.oracle or args.oracle_table):
                 raise ConfigError("check 'oracle' needs --oracle or --oracle-table")
-            with client:
+            with open_oracle(args.oracle, args.oracle_table) as oracle:
                 for inv in INVARIANTS:
                     try:
-                        print(f"{inv} {oracle_query(client, inv, g)}")
+                        print(f"{inv} {oracle_query(oracle, inv, g)}")
                     except OracleDomainError:
                         print(f"{inv} unavailable")
     return 0
@@ -190,13 +188,9 @@ def cmd_verify(args) -> int:
 def cmd_impact(args) -> int:
     g = _decode_arg(args.code, args.n)
     kinds = {"zero": (ZERO,), "one": (ONE,), "both": (ZERO, ONE)}[args.kinds]
-    client = _oracle_client(args)
-    try:
-        reward = make_reward(args.reward, client, nac_guard=args.nac_guard)
+    with open_oracle(args.oracle, args.oracle_table) as oracle:
+        reward = make_reward(args.reward, oracle, nac_guard=args.nac_guard)
         result = extension_impact(g, reward, kinds)
-    finally:
-        if client:
-            client.close()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
@@ -213,14 +207,10 @@ def cmd_impact(args) -> int:
 
 def cmd_transfer_eval(args) -> int:
     params = load_params(args.weights)
-    client = _oracle_client(args)
-    try:
-        reward = make_reward(args.reward, client, nac_guard=args.nac_guard)
+    with open_oracle(args.oracle, args.oracle_table) as oracle:
+        reward = make_reward(args.reward, oracle, nac_guard=args.nac_guard)
         result = cem.deploy_eval(params, args.n, reward, count=args.count,
                                  seed=args.seed, patience=args.patience)
-    finally:
-        if client:
-            client.close()
     if args.hist_out:
         with open(args.hist_out, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
@@ -356,10 +346,7 @@ def main(argv=None) -> int:
     except (OracleTransportError, OracleProtocolError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
-    except OracleDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GuardError, ValueError, OverflowError) as exc:
+    except (OracleDomainError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 from .graphs import Graph, encode_int
@@ -140,6 +141,22 @@ def oracle_query(client, invariant: str, g: Graph) -> int:
 def stub_oracle_command(table_path: str) -> list[str]:
     """Command line that serves the given table with the bundled stub."""
     return [sys.executable, "-m", "rigidsearch.stub_oracle", str(table_path)]
+
+
+@contextmanager
+def open_oracle(command: str | list[str] | None = None, table: str | None = None,
+                procs: int = 1):
+    """The one way to start oracle workers: `table` means the bundled stub
+    serving that table.  Yields None without a command, one OracleClient for
+    one process and an OraclePool for several; every worker is closed when
+    the block exits."""
+    if table:
+        command = stub_oracle_command(table)
+    if not command:
+        yield None
+        return
+    with (OracleClient(command) if procs == 1 else OraclePool(command, procs)) as oracle:
+        yield oracle
 
 
 def bundled_stub_table() -> str:

@@ -12,8 +12,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .graphs import CanonicalCode, Graph, decode_int
+from .graphs import CanonicalCode, Graph, canonical_code, decode_int
 from .nac import count_nac
+from .oracle import oracle_query
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent search configuration."""
 
 
 class CachedReward:
@@ -32,8 +37,6 @@ class CachedReward:
         return self.cache[cc]
 
     def __call__(self, g: Graph) -> int:
-        from .graphs import canonical_code
-
         return self.value(canonical_code(g))
 
 
@@ -43,9 +46,7 @@ def make_reward(name: str, oracle=None, nac_guard: int = 34) -> CachedReward:
         return CachedReward("nac", lambda g: count_nac(g, max_edges=nac_guard))
     if name in ("plane", "sphere", "mbezout"):
         if oracle is None:
-            raise ValueError(f"reward {name!r} needs an oracle")
-        from .oracle import oracle_query
-
+            raise ConfigError(f"reward {name!r} needs --oracle or --oracle-table")
         return CachedReward(name, lambda g: oracle_query(oracle, name, g))
     raise ValueError(f"unknown reward {name!r}")
 

@@ -6,6 +6,7 @@ from rigidsearch.cli import main
 from rigidsearch.graphs import Graph, canonical_code, decode_int, encode_int
 from rigidsearch.oracle import bundled_stub_table
 from rigidsearch.policy import init_params, save_params
+from rigidsearch.rigidity import enumerate_minimally_rigid
 
 from conftest import NAC_RECORDS
 
@@ -207,6 +208,24 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "--config", str(cfg))
         assert code == 2 and "rewardz" in err
 
+    @pytest.mark.parametrize("line", [
+        "n: ten", "n: 10.5", "n: true", "n: null", "m: '40'", "eta0: x",
+        "policy: 3", "oracle_procs: null", "rho_elite: false",
+    ])
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "search", "--config", str(cfg))
+        assert code == 2 and repr(line.split(":")[0]) in err
+
+    def test_config_int_as_float_and_null_default_accepted(self, tmp_path):
+        from rigidsearch.cli import load_config_file
+
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("rho_main: 1\neta0: 0.5\ngenerations: null\noracle: null\n")
+        assert load_config_file(str(cfg)) == {
+            "rho_main": 1, "eta0": 0.5, "generations": None, "oracle": None}
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "search",
                                "--config", str(tmp_path / "nope.yaml"))
@@ -229,6 +248,27 @@ class TestSearchCommand:
             "--quiet", "--resume", str(out_dir / "checkpoint-2"))
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("best 6 ")
+
+    def test_oracle_procs_do_not_change_results(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("".join(
+            f"6 {cc.code} sphere {2 + cc.code % 97}\n6 {cc.code} mbezout {200 - cc.code % 89}\n"
+            for cc in sorted(enumerate_minimally_rigid(6))))
+        runs = []
+        for procs in ("1", "2"):
+            out_dir = tmp_path / f"procs{procs}"
+            code, _, _ = run_cli(
+                capsys, "search", "--reward", "sphere", "--n", "6", "--m", "40",
+                "--generations", "2", "--early-stop", "0", "--rho-main", "0.256",
+                "--oracle-table", str(table), "--oracle-procs", procs,
+                "--out", str(out_dir), "--quiet")
+            assert code == 0
+            with open(out_dir / "generations.csv") as fh:
+                rows = [{k: v for k, v in row.items() if k != "seconds"}
+                        for row in csv.DictReader(fh)]
+            runs.append((rows, (out_dir / "best.txt").read_text()))
+        assert len(runs[0][0]) == 2
+        assert runs[0] == runs[1]
 
 
 class TestTransferEval:
@@ -260,6 +300,15 @@ class TestTransferEval:
         assert code == 0
         best = grep(out, "best").split()
         assert best[0] == "7"
+
+    @pytest.mark.parametrize("flag", ["--count", "--patience"])
+    def test_zero_count_or_patience_is_config_error(self, capsys, tmp_path, flag):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        code, _, err = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
+                               flag, "0")
+        assert code == 2
+        assert "need count >= 1 and patience >= 1" in err
 
     def test_missing_weights(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "transfer-eval",

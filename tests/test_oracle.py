@@ -5,7 +5,7 @@ import pytest
 from rigidsearch.graphs import Graph, decode_int
 from rigidsearch.oracle import (OracleClient, OracleDomainError, OraclePool,
                                 OracleProtocolError, OracleTransportError,
-                                bundled_stub_table, oracle_query,
+                                bundled_stub_table, open_oracle, oracle_query,
                                 stub_oracle_command)
 from rigidsearch.stub_oracle import load_table
 
@@ -108,3 +108,35 @@ class TestPool:
             assert counts == [2, 2]
         finally:
             pool.close()
+
+
+class TestOpenOracle:
+    def test_no_command_yields_none(self):
+        with open_oracle() as oracle:
+            assert oracle is None
+
+    def test_table_yields_one_stub_client(self):
+        with open_oracle(table=bundled_stub_table()) as oracle:
+            assert isinstance(oracle, OracleClient)
+            assert oracle.command == stub_oracle_command(bundled_stub_table())
+            assert oracle_query(oracle, "plane", Graph.complete(3)) == 2
+
+    def test_command_with_two_procs_yields_pool(self):
+        with open_oracle(stub_oracle_command(bundled_stub_table()), procs=2) as oracle:
+            assert isinstance(oracle, OraclePool)
+            assert len(oracle.clients) == 2
+            assert oracle_query(oracle, "plane", Graph.complete(3)) == 2
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_workers_exit_with_the_block(self, procs):
+        with open_oracle(table=bundled_stub_table(), procs=procs) as oracle:
+            clients = oracle.clients if procs > 1 else [oracle]
+        assert all(c._proc.poll() is not None for c in clients)
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_workers_exit_when_the_body_raises(self, procs):
+        with pytest.raises(RuntimeError):
+            with open_oracle(table=bundled_stub_table(), procs=procs) as oracle:
+                clients = oracle.clients if procs > 1 else [oracle]
+                raise RuntimeError("body failed")
+        assert all(c._proc.poll() is not None for c in clients)

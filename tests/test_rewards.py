@@ -59,6 +59,12 @@ class TestMakeReward:
             with pytest.raises(ValueError):
                 make_reward(name)
 
+    def test_oracle_reward_without_oracle_is_config_error(self):
+        from rigidsearch.cem import ConfigError
+
+        with pytest.raises(ConfigError, match="reward 'sphere' needs --oracle or --oracle-table"):
+            make_reward("sphere")
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_reward("girth")
