@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
-from .oracle import OracleError, open_oracle
+from .nac import NAC_GUARD
+from .oracle import OracleError
 from .policy import (FLAT_VARIANT, GIN_VARIANT, PolicyParams, action_distribution,
                      adam_step, extend_to_n, flat_output_dim, init_params,
                      load_params, loss_and_gradients, sample_action, save_params)
-from .rewards import CachedReward, ConfigError, make_reward, two_stage_select
+from .rewards import CachedReward, ConfigError, needs_oracle, open_rewards, two_stage_select
 from .rigidity import Extension, apply_extension, k2
 
 
@@ -81,7 +82,7 @@ class CemConfig:
     out: str | None = None
     target: int | None = None           # optional: stop once best >= target
     schedule: str = "eq5"
-    nac_guard: int = 34
+    nac_guard: int = NAC_GUARD
 
 
 def resolve_config(cfg: CemConfig) -> CemConfig:
@@ -119,8 +120,7 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
         raise ConfigError("give either --oracle or --oracle-table, not both")
     if out.oracle_procs < 1:
         raise ConfigError("need oracle_procs >= 1")
-    needs_oracle = out.reward != "nac" or out.rho_main < 1
-    if needs_oracle and not (out.oracle or out.oracle_table):
+    if needs_oracle(out.reward, out.rho_main) and not (out.oracle or out.oracle_table):
         raise ConfigError(f"reward {out.reward!r} (or rho_main < 1) needs an oracle")
     return out
 
@@ -422,9 +422,8 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
     """Full search: loops run_generation until the generation budget, the
     early-stop rule, or the optional target value ends it."""
     cfg = resolve_config(cfg)
-    with open_oracle(cfg.oracle, cfg.oracle_table, cfg.oracle_procs) as oracle:
-        main = make_reward(cfg.reward, oracle, nac_guard=cfg.nac_guard)
-        surrogate = make_reward("mbezout", oracle) if cfg.rho_main < 1 else None
+    with open_rewards(cfg.reward, cfg.rho_main, cfg.oracle, cfg.oracle_table,
+                      cfg.oracle_procs, cfg.nac_guard) as (main, surrogate):
         if resume_from:
             state = load_checkpoint(resume_from)
             if state.params.n_max < cfg.n:

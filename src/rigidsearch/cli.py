@@ -21,11 +21,11 @@ from . import cem
 from .cem import CemConfig, ConfigError
 from .graphs import (Graph, automorphism_count, canonical_code, decode_int,
                      encode_int, infer_n, structural_report)
-from .nac import count_nac
+from .nac import NAC_GUARD, count_nac
 from .oracle import (INVARIANTS, OracleDomainError, OracleProtocolError,
                      OracleTransportError, open_oracle, oracle_query)
 from .policy import load_params
-from .rewards import make_reward
+from .rewards import open_rewards
 from .rigidity import (ONE, ZERO, enumerate_minimally_rigid,
                        enumerate_zero_ext_constructible, extension_impact,
                        is_minimally_rigid, peel_to_core, prop1_lower_bound)
@@ -147,32 +147,33 @@ def cmd_verify(args) -> int:
     bad = sorted(set(checks) - set(VERIFY_CHECKS))
     if bad:
         raise ConfigError(f"unknown checks: {', '.join(bad)} (have {', '.join(VERIFY_CHECKS)})")
-    print(f"n {g.n}")
-    print(f"edges {g.edge_count}")
-    for check in checks:
-        if check == "rigid":
-            print(f"minimally_rigid {str(is_minimally_rigid(g)).lower()}")
-        elif check == "nac":
-            print(f"nac {count_nac(g, max_edges=args.nac_guard)}")
-        elif check == "structure":
-            rep = structural_report(g)
-            print(f"min_degree {rep.min_degree}")
-            print(f"max_degree {rep.max_degree}")
-            print(f"triangle_free {str(rep.triangle_free).lower()}")
-            print(f"every_vertex_in_triangle {str(rep.every_vertex_in_triangle).lower()}")
-            print(f"hamiltonian {str(rep.hamiltonian).lower()}")
-            print(f"chromatic_number {rep.chromatic_number}")
-        elif check == "peel":
-            core = _named_core(args.core)
-            ok, witness = peel_to_core(g, core)
-            trail = "" if not ok else " " + ",".join(map(str, witness))
-            print(f"peel_{args.core} {str(ok).lower()}{trail}")
-        elif check == "aut":
-            print(f"automorphisms {automorphism_count(g)}")
-        elif check == "oracle":
-            if not (args.oracle or args.oracle_table):
-                raise ConfigError("check 'oracle' needs --oracle or --oracle-table")
-            with open_oracle(args.oracle, args.oracle_table) as oracle:
+    oracle_flags = (args.oracle, args.oracle_table) if "oracle" in checks else ()
+    with open_oracle(*oracle_flags) as oracle:
+        if "oracle" in checks and oracle is None:
+            raise ConfigError("check 'oracle' needs --oracle or --oracle-table")
+        print(f"n {g.n}")
+        print(f"edges {g.edge_count}")
+        for check in checks:
+            if check == "rigid":
+                print(f"minimally_rigid {str(is_minimally_rigid(g)).lower()}")
+            elif check == "nac":
+                print(f"nac {count_nac(g, max_edges=args.nac_guard)}")
+            elif check == "structure":
+                rep = structural_report(g)
+                print(f"min_degree {rep.min_degree}")
+                print(f"max_degree {rep.max_degree}")
+                print(f"triangle_free {str(rep.triangle_free).lower()}")
+                print(f"every_vertex_in_triangle {str(rep.every_vertex_in_triangle).lower()}")
+                print(f"hamiltonian {str(rep.hamiltonian).lower()}")
+                print(f"chromatic_number {rep.chromatic_number}")
+            elif check == "peel":
+                core = _named_core(args.core)
+                ok, witness = peel_to_core(g, core)
+                trail = "" if not ok else " " + ",".join(map(str, witness))
+                print(f"peel_{args.core} {str(ok).lower()}{trail}")
+            elif check == "aut":
+                print(f"automorphisms {automorphism_count(g)}")
+            elif check == "oracle":
                 for inv in INVARIANTS:
                     try:
                         print(f"{inv} {oracle_query(oracle, inv, g)}")
@@ -188,8 +189,8 @@ def cmd_verify(args) -> int:
 def cmd_impact(args) -> int:
     g = _decode_arg(args.code, args.n)
     kinds = {"zero": (ZERO,), "one": (ONE,), "both": (ZERO, ONE)}[args.kinds]
-    with open_oracle(args.oracle, args.oracle_table) as oracle:
-        reward = make_reward(args.reward, oracle, nac_guard=args.nac_guard)
+    with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,
+                      nac_guard=args.nac_guard) as (reward, _):
         result = extension_impact(g, reward, kinds)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -207,8 +208,8 @@ def cmd_impact(args) -> int:
 
 def cmd_transfer_eval(args) -> int:
     params = load_params(args.weights)
-    with open_oracle(args.oracle, args.oracle_table) as oracle:
-        reward = make_reward(args.reward, oracle, nac_guard=args.nac_guard)
+    with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,
+                      nac_guard=args.nac_guard) as (reward, _):
         result = cem.deploy_eval(params, args.n, reward, count=args.count,
                                  seed=args.seed, patience=args.patience)
     if args.hist_out:
@@ -293,7 +294,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="rigid",
                    help=f"comma list from: {', '.join(VERIFY_CHECKS)}")
     p.add_argument("--core", default="k33", help="target core for the peel check")
-    p.add_argument("--nac-guard", type=int, default=34)
+    p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -303,7 +304,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--reward", default="nac", choices=cem.REWARDS)
     p.add_argument("--kinds", default="both", choices=("zero", "one", "both"))
     p.add_argument("--out", help="write the per-child CSV here")
-    p.add_argument("--nac-guard", type=int, default=34)
+    p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_impact)
 
@@ -316,7 +317,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patience", type=int, default=5000)
     p.add_argument("--hist-out", help="write the value histogram CSV here")
-    p.add_argument("--nac-guard", type=int, default=34)
+    p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_transfer_eval)
 

@@ -293,8 +293,8 @@ def _orbit(v: int, gens: list[list[int]], path: list[int]) -> set[int]:
     return orbit
 
 
-def _search(g: Graph) -> tuple[list[int], int]:
-    """Individualization-refinement with automorphism pruning: (labeling, |Aut|).
+def _search(g: Graph) -> tuple[int, list[int], int]:
+    """Individualization-refinement with automorphism pruning: (code, labeling, |Aut|).
 
     Refine color classes, branch on the vertices of the first non-singleton
     cell and keep the leaf of smallest code.  Two leaves with equal codes
@@ -350,24 +350,24 @@ def _search(g: Graph) -> tuple[list[int], int]:
         return False
 
     descend(_refine(rows, _degree_colors(rows)), [], True)
-    return best[1], aut
+    return (*best, aut)
 
 
 def canonical_labeling(g: Graph) -> list[int]:
     """A relabeling v -> perm[v] minimizing encode_int over the leaves of the
     search tree.  The leaf set is isomorphism invariant, so equal canonical
     codes characterize isomorphic graphs."""
-    return _search(g)[0]
+    return _search(g)[1]
 
 
 def canonical_code(g: Graph) -> CanonicalCode:
     """Isomorphism-invariant (n, code): code of the canonically relabeled graph."""
-    return CanonicalCode(g.n, _encode_under(g.rows, g.n, canonical_labeling(g)))
+    return CanonicalCode(g.n, _search(g)[0])
 
 
 def automorphism_count(g: Graph) -> int:
     """Number of adjacency-preserving permutations, from the same search."""
-    return _search(g)[1]
+    return _search(g)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 from .graphs import Graph
 from .rigidity import GuardError
 
+NAC_GUARD = 34  # default refusal bound on |E|: a count walks 2^(|E|-1) colorings
+
 
 def _norm_edge(e: tuple[int, int]) -> tuple[int, int]:
     u, v = e
@@ -54,7 +56,7 @@ def is_nac_coloring(g: Graph, red) -> bool:
     return True
 
 
-def count_nac(g: Graph, max_edges: int = 34) -> int:
+def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     """Number of NAC-colorings up to swapping the colors.
 
     The first edge is pinned red, which breaks the swap symmetry, and the

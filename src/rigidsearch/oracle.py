@@ -21,8 +21,13 @@ from contextlib import contextmanager
 from importlib import resources
 
 from .graphs import Graph, encode_int
+from .stub_oracle import load_table
 
 INVARIANTS = ("plane", "sphere", "mbezout")
+
+
+class ConfigError(ValueError):
+    """Invalid or inconsistent configuration (the CLI exits 2)."""
 
 
 class OracleError(Exception):
@@ -147,10 +152,14 @@ def stub_oracle_command(table_path: str) -> list[str]:
 def open_oracle(command: str | list[str] | None = None, table: str | None = None,
                 procs: int = 1):
     """The one way to start oracle workers: `table` means the bundled stub
-    serving that table.  Yields None without a command, one OracleClient for
-    one process and an OraclePool for several; every worker is closed when
-    the block exits."""
+    serving that table, read here first (ConfigError if it will not load).
+    Yields None without a command, one OracleClient for one process and an
+    OraclePool for several; every worker is closed when the block exits."""
     if table:
+        try:
+            load_table(table)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"oracle table: {exc}") from exc
         command = stub_oracle_command(table)
     if not command:
         yield None

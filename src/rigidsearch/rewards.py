@@ -10,15 +10,12 @@ expensive main reward only on the top fraction.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
-from .nac import count_nac
-from .oracle import oracle_query
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent search configuration."""
+from .nac import NAC_GUARD, count_nac
+from .oracle import INVARIANTS, ConfigError, open_oracle, oracle_query
 
 
 class CachedReward:
@@ -40,15 +37,31 @@ class CachedReward:
         return self.value(canonical_code(g))
 
 
-def make_reward(name: str, oracle=None, nac_guard: int = 34) -> CachedReward:
+def needs_oracle(reward: str, rho_main: float = 1.0) -> bool:
+    """Whether a run queries the oracle: an oracle reward or m-Bezout screening."""
+    return reward in INVARIANTS or rho_main < 1
+
+
+def make_reward(name: str, oracle=None, nac_guard: int = NAC_GUARD) -> CachedReward:
     """nac counts in process; plane/sphere/mbezout go through the oracle."""
+    if needs_oracle(name) and oracle is None:
+        raise ConfigError(f"reward {name!r} needs --oracle or --oracle-table")
     if name == "nac":
         return CachedReward("nac", lambda g: count_nac(g, max_edges=nac_guard))
-    if name in ("plane", "sphere", "mbezout"):
-        if oracle is None:
-            raise ConfigError(f"reward {name!r} needs --oracle or --oracle-table")
+    if name in INVARIANTS:
         return CachedReward(name, lambda g: oracle_query(oracle, name, g))
     raise ValueError(f"unknown reward {name!r}")
+
+
+@contextmanager
+def open_rewards(reward: str, rho_main: float = 1.0, oracle: str | None = None,
+                 table: str | None = None, procs: int = 1, nac_guard: int = NAC_GUARD):
+    """Yield (main, surrogate); oracle workers start only if needs_oracle holds."""
+    if not needs_oracle(reward, rho_main):
+        oracle = table = None
+    with open_oracle(oracle, table, procs) as client:
+        yield (make_reward(reward, client, nac_guard=nac_guard),
+               make_reward("mbezout", client) if rho_main < 1 else None)
 
 
 def two_stage_select(

@@ -16,11 +16,12 @@ def load_table(path: str) -> dict[tuple[int, int, str], int]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'n code invariant value'")
-            n, code, invariant, value = parts
-            table[(int(n), int(code), invariant.lower())] = int(value)
+            try:
+                n, code, invariant, value = line.split()
+                table[(int(n), int(code), invariant.lower())] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'n code invariant value' "
+                                 f"with integer n, code and value, got {line!r}") from None
     return table
 
 
@@ -29,13 +30,8 @@ def serve(table: dict[tuple[int, int, str], int], stdin, stdout) -> None:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            stdout.write("ERR malformed request\n")
-            stdout.flush()
-            continue
-        invariant, n_str, code_str = parts
         try:
+            invariant, n_str, code_str = line.split()
             key = (int(n_str), int(code_str), invariant.lower())
         except ValueError:
             stdout.write("ERR malformed request\n")

@@ -357,3 +357,76 @@ class TestExitCodeContract:
                                "--reward", "plane")
         assert code == 2
         assert "needs --oracle" in err
+
+
+class TestOracleOnlyWhenQueried:
+    """A worker starts only when the reward or the screening queries it, and a
+    missing or malformed table is a usage error (2), not a transport one (3)."""
+
+    SEARCH = ("search", "--reward", "nac", "--n", "5", "--m", "10",
+              "--generations", "1", "--quiet")
+
+    def test_nac_search_ignores_missing_table(self, capsys):
+        code, out, err = run_cli(capsys, *self.SEARCH, "--oracle-table", "/nonexistent")
+        assert code == 0
+        assert err == ""
+        assert out.startswith("best 5 ")
+
+    def test_nac_search_starts_no_worker(self, capsys):
+        code, _, _ = run_cli(capsys, *self.SEARCH, "--oracle", "/no/such/worker")
+        assert code == 0
+
+    def test_nac_search_with_screening_starts_the_worker(self, capsys):
+        code, _, err = run_cli(capsys, *self.SEARCH, "--oracle", "/no/such/worker",
+                               "--rho-main", "0.5")
+        assert code == 3
+        assert "cannot start oracle" in err
+
+    def test_nac_impact_ignores_missing_table(self, capsys):
+        code, out, _ = run_cli(capsys, "impact", "7", "--n", "3", "--reward", "nac",
+                               "--oracle-table", "/nonexistent")
+        assert code == 0
+        assert grep(out, "children") == "1"
+
+    def test_nac_transfer_eval_starts_no_worker(self, capsys, tmp_path):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        code, _, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
+                             "--count", "2", "--oracle", "/no/such/worker")
+        assert code == 0
+
+    def test_malformed_table_is_usage_error_naming_the_line(self, capsys, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("# header\n3 7 plane x\n")
+        code, out, err = run_cli(capsys, "impact", "7", "--n", "3", "--reward", "plane",
+                                 "--oracle-table", str(table))
+        assert code == 2
+        assert out == ""
+        assert f"{table}:2:" in err
+
+    def test_search_with_missing_table_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "search", "--reward", "sphere", "--n", "5",
+                               "--m", "10", "--generations", "1",
+                               "--oracle-table", str(tmp_path / "none.txt"))
+        assert code == 2
+        assert "none.txt" in err
+
+    @pytest.mark.parametrize("flags", [["--oracle-table", "/nonexistent"], []])
+    def test_verify_checks_its_oracle_before_printing(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "verify", "7", "--checks", "rigid,oracle", *flags)
+        assert code == 2
+        assert out == ""
+
+    def test_verify_without_oracle_check_ignores_missing_table(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "7", "--checks", "rigid",
+                               "--oracle-table", "/nonexistent")
+        assert code == 0
+        assert out == "n 3\nedges 3\nminimally_rigid true\n"
+
+    def test_verify_oracle_output_keeps_its_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "206970129631", "--n", "10",
+                               "--checks", "rigid,oracle",
+                               "--oracle-table", bundled_stub_table())
+        assert code == 0
+        assert out == ("n 10\nedges 17\nminimally_rigid true\n"
+                       "plane 880\nsphere 1536\nmbezout 1536\n")

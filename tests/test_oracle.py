@@ -1,3 +1,5 @@
+import io
+import re
 import sys
 
 import pytest
@@ -7,7 +9,7 @@ from rigidsearch.oracle import (OracleClient, OracleDomainError, OraclePool,
                                 OracleProtocolError, OracleTransportError,
                                 bundled_stub_table, open_oracle, oracle_query,
                                 stub_oracle_command)
-from rigidsearch.stub_oracle import load_table
+from rigidsearch.stub_oracle import load_table, serve
 
 from conftest import SPHERE_RECORDS
 
@@ -140,3 +142,50 @@ class TestOpenOracle:
                 clients = oracle.clients if procs > 1 else [oracle]
                 raise RuntimeError("body failed")
         assert all(c._proc.poll() is not None for c in clients)
+
+
+class TestTableErrors:
+    @pytest.mark.parametrize("line", ["x 7 plane 2", "3 y plane 2", "3 7 plane z",
+                                      "3 7 plane", "3 7 plane 2 9"])
+    def test_bad_line_names_path_and_line(self, tmp_path, line):
+        p = tmp_path / "t.txt"
+        p.write_text(f"# header\n3 7 sphere 2\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:3: ")):
+            load_table(str(p))
+
+    def test_config_error_is_one_class(self):
+        from rigidsearch import cem, oracle, rewards
+
+        assert cem.ConfigError is rewards.ConfigError is oracle.ConfigError
+        assert issubclass(oracle.ConfigError, ValueError)
+
+    def test_missing_table_is_config_error(self, tmp_path):
+        from rigidsearch.oracle import ConfigError
+
+        with pytest.raises(ConfigError, match="none.txt"):
+            with open_oracle(table=str(tmp_path / "none.txt")):
+                pytest.fail("the block must not run")
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_malformed_table_spawns_no_worker(self, tmp_path, monkeypatch, procs):
+        from rigidsearch import oracle
+        from rigidsearch.oracle import ConfigError
+
+        spawned = []
+        monkeypatch.setattr(oracle.subprocess, "Popen", lambda *a, **k: spawned.append(a))
+        p = tmp_path / "t.txt"
+        p.write_text("3 7 plane x\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{p}:1: ")):
+            with open_oracle(table=str(p), procs=procs):
+                pytest.fail("the block must not run")
+        assert spawned == []
+
+
+class TestServe:
+    def test_replies_and_malformed_requests(self):
+        out = io.StringIO()
+        requests = "PLANE 3\n\nPLANE x 7\nPLANE 3 7 9\nPLANE 3 7\nSPHERE 3 7\n"
+        serve({(3, 7, "plane"): 2}, io.StringIO(requests), out)
+        assert out.getvalue().splitlines() == [
+            "ERR malformed request", "ERR malformed request", "ERR malformed request",
+            "OK 2", "ERR unknown graph or invariant"]

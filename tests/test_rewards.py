@@ -4,7 +4,9 @@ import pytest
 
 from rigidsearch.graphs import Graph, canonical_code, decode_int
 from rigidsearch.oracle import OracleClient, bundled_stub_table, stub_oracle_command
-from rigidsearch.rewards import CachedReward, make_reward, two_stage_select
+from rigidsearch.oracle import ConfigError
+from rigidsearch.rewards import (CachedReward, make_reward, needs_oracle, open_rewards,
+                                 two_stage_select)
 from rigidsearch.rigidity import enumerate_minimally_rigid
 
 
@@ -128,3 +130,48 @@ class TestTwoStageSelect:
         main = counting_reward("main")
         with pytest.raises(ValueError):
             two_stage_select(self.codes, None, main, 0.5)
+
+
+class TestNeedsOracle:
+    @pytest.mark.parametrize("reward,rho_main,want", [
+        ("nac", 1.0, False), ("nac", 0.5, True), ("plane", 1.0, True),
+        ("sphere", 0.256, True), ("mbezout", 1.0, True)])
+    def test_oracle_rewards_and_screening(self, reward, rho_main, want):
+        assert needs_oracle(reward, rho_main) is want
+
+    def test_default_is_no_screening(self):
+        assert not needs_oracle("nac")
+        assert needs_oracle("sphere")
+
+
+class TestOpenRewards:
+    @pytest.mark.parametrize("flags", [{"oracle": "/no/such/worker"},
+                                       {"table": "/no/such/table"}])
+    def test_nac_without_screening_starts_no_worker(self, flags):
+        with open_rewards("nac", **flags) as (main, surrogate):
+            assert surrogate is None
+            assert main(Graph.complete(3)) == 0
+
+    def test_nac_guard_is_forwarded(self):
+        from rigidsearch.rigidity import GuardError
+
+        with open_rewards("nac", nac_guard=3) as (main, _):
+            with pytest.raises(GuardError):
+                main(Graph.complete(4))
+
+    def test_oracle_reward_queries_the_table(self):
+        with open_rewards("sphere", table=bundled_stub_table()) as (main, surrogate):
+            assert surrogate is None
+            assert main(decode_int(206970129631, 10)) == 1536
+
+    def test_screening_adds_the_mbezout_surrogate(self):
+        with open_rewards("nac", 0.5, table=bundled_stub_table(), procs=2) as (main, surrogate):
+            assert main.name == "nac"
+            assert surrogate.name == "mbezout"
+            assert surrogate(decode_int(206970129631, 10)) == 1536
+
+    @pytest.mark.parametrize("reward,rho_main", [("plane", 1.0), ("nac", 0.5)])
+    def test_missing_oracle_is_config_error(self, reward, rho_main):
+        with pytest.raises(ConfigError, match="needs --oracle or --oracle-table"):
+            with open_rewards(reward, rho_main):
+                pytest.fail("the block must not run")
