@@ -241,7 +241,8 @@ def _train(params: PolicyParams, dataset, eta: float, epochs: int, lr: float, rn
 
 def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
                    surrogate: CachedReward | None) -> GenerationStats:
-    """One Algorithm-1 generation; mutates state in place."""
+    """One Algorithm-1 generation; mutates state in place, but only after
+    the reward calls, so a generation they abort leaves state untouched."""
     t = state.completed + 1
     start = time.monotonic()
     population = list(state.survivors)
@@ -249,7 +250,6 @@ def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
     population += rollouts(state.params, cfg.n, rngs)
     codes = [tr.code for tr in population]
     fresh = {c for c in codes if c not in state.seen}
-    state.seen |= fresh
 
     misses_before = main.misses
     selected = two_stage_select(codes, surrogate, main, cfg.rho_main)
@@ -278,6 +278,7 @@ def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
         _train(state.params, dataset, eta, cfg.epochs, cfg.lr, train_rng)
 
     state.survivors = [population[i] for i, _ in ranked[:n_surv]]
+    state.seen |= fresh
     state.completed = t
     return GenerationStats(t=t, best=state.best_value, cutoff=cutoff,
                            new_noniso=len(fresh), eta=eta, evals=evals,
@@ -304,23 +305,21 @@ class RunResult:
     best_graph: Graph
     best_value: int
     best_code: CanonicalCode
-    hit_generation: int
     stats: list[GenerationStats]
-    evaluations: int
     stopped_early: bool
-    params: PolicyParams
 
 
 KEEP_CHECKPOINTS = 3
 
 
 class _RunDir:
-    """Writes the run directory artifacts: config, generations.csv, best.txt,
-    checkpoint-<t> files (only the latest KEEP_CHECKPOINTS kept)."""
+    """Writes the run directory: config, generations.csv, best.txt and the
+    latest KEEP_CHECKPOINTS checkpoint-<t> files.  A run starting after
+    `completed` generations keeps what the directory holds of generations
+    <= completed, so a resume continues it and a fresh run drops the rest."""
 
-    def __init__(self, path: str | None, cfg: CemConfig):
+    def __init__(self, path: str | None, cfg: CemConfig, completed: int):
         self.path = path
-        self._written: list[str] = []
         if not path:
             return
         os.makedirs(path, exist_ok=True)
@@ -328,32 +327,44 @@ class _RunDir:
 
         with open(os.path.join(path, "config"), "w", encoding="utf-8") as fh:
             yaml.safe_dump(dataclasses.asdict(cfg), fh, sort_keys=True)
+        rows = self._lines("generations.csv")[1:]
         with open(os.path.join(path, "generations.csv"), "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(CSV_COLUMNS)
+            fh.writelines(r for r in rows if int(r.split(",")[0]) <= completed)
+        best = self._lines("best.txt")
+        if best:
+            with open(os.path.join(path, "best.txt"), "w", encoding="utf-8") as fh:
+                fh.writelines(b for b in best if int(b.split()[-1]) <= completed)
+        for name in os.listdir(path):
+            t = name.removeprefix("checkpoint-")
+            if t != name and t.isdigit() and int(t) > completed:
+                os.remove(os.path.join(path, name))
 
-    def append_stats(self, s: GenerationStats) -> None:
+    def _lines(self, name: str) -> list[str]:
+        try:
+            with open(os.path.join(self.path, name), encoding="utf-8", newline="") as fh:
+                return fh.readlines()
+        except FileNotFoundError:
+            return []
+
+    def append(self, s: GenerationStats, improved: CanonicalCode | None) -> None:
+        """A generations.csv row, and a best.txt line for an improved best."""
         if not self.path:
             return
+        if improved is not None:
+            with open(os.path.join(self.path, "best.txt"), "a", encoding="utf-8") as fh:
+                fh.write(f"{improved.n} {improved.code} {s.best} {s.t}\n")
         with open(os.path.join(self.path, "generations.csv"), "a", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(
                 [s.t, s.best, s.cutoff, s.new_noniso, f"{s.eta:.12g}", s.evals, f"{s.seconds:.3f}"])
 
-    def append_best(self, code: CanonicalCode, value: int, generation: int) -> None:
-        if not self.path:
-            return
-        with open(os.path.join(self.path, "best.txt"), "a", encoding="utf-8") as fh:
-            fh.write(f"{code.n} {code.code} {value} {generation}\n")
-
     def checkpoint(self, state: RunState) -> None:
         if not self.path:
             return
-        fn = os.path.join(self.path, f"checkpoint-{state.completed}")
-        save_checkpoint(fn, state)
-        self._written.append(fn)
-        while len(self._written) > KEEP_CHECKPOINTS:
-            old = self._written.pop(0)
-            if os.path.exists(old):
-                os.remove(old)
+        save_checkpoint(os.path.join(self.path, f"checkpoint-{state.completed}"), state)
+        old = os.path.join(self.path, f"checkpoint-{state.completed - KEEP_CHECKPOINTS}")
+        if os.path.exists(old):
+            os.remove(old)
 
 
 def _trace_to_record(tr: RolloutTrace) -> dict:
@@ -406,31 +417,41 @@ def load_checkpoint(path: str) -> RunState:
     return state
 
 
-def _initial_params(cfg: CemConfig) -> PolicyParams:
-    if cfg.init_weights:
-        params = load_params(cfg.init_weights)
-        if params.variant != cfg.policy:
-            raise ConfigError(
-                f"weights are for policy {params.variant!r}, config says {cfg.policy!r}")
-        if params.n_max < cfg.n:
-            params = extend_to_n(params, cfg.n)
-        return params
-    return init_params(cfg.policy, cfg.n, seed=(cfg.seed, 0, _INIT_STREAM))
+def _sized(params: PolicyParams, n: int) -> PolicyParams:
+    """The weights, extended to target n if they were trained for fewer vertices."""
+    return params if params.n_max >= n else extend_to_n(params, n)
+
+
+def _start(cfg: CemConfig, resume_from: str | None) -> RunState:
+    """The state a fresh, warm-started or resumed run starts from, under one
+    rule: a checkpoint comes from a run at cfg.n, the weights are of
+    cfg.policy, and weights for fewer vertices are extended to cfg.n."""
+    if resume_from and cfg.init_weights:
+        raise ConfigError("give either --resume or --init-weights, not both")
+    if resume_from:
+        state = load_checkpoint(resume_from)
+    elif cfg.init_weights:
+        state = RunState(params=load_params(cfg.init_weights))
+    else:
+        state = RunState(params=init_params(cfg.policy, cfg.n, seed=(cfg.seed, 0, _INIT_STREAM)))
+    if state.best_code is not None and state.best_code.n != cfg.n:
+        raise ConfigError(f"{resume_from} is from a run at n={state.best_code.n}, not "
+                          f"n={cfg.n}; warm-start another size with --init-weights")
+    if state.params.variant != cfg.policy:
+        raise ConfigError(
+            f"weights are for policy {state.params.variant!r}, config says {cfg.policy!r}")
+    state.params = _sized(state.params, cfg.n)
+    return state
 
 
 def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
     """Full search: loops run_generation until the generation budget, the
     early-stop rule, or the optional target value ends it."""
     cfg = resolve_config(cfg)
+    state = _start(cfg, resume_from)
     with open_rewards(cfg.reward, cfg.rho_main, cfg.oracle, cfg.oracle_table,
                       cfg.oracle_procs, cfg.nac_guard) as (main, surrogate):
-        if resume_from:
-            state = load_checkpoint(resume_from)
-            if state.params.n_max < cfg.n:
-                state.params = extend_to_n(state.params, cfg.n)
-        else:
-            state = RunState(params=_initial_params(cfg))
-        rundir = _RunDir(cfg.out, cfg)
+        rundir = _RunDir(cfg.out, cfg, state.completed)
         history: list[GenerationStats] = []
         stopped_early = False
         while state.completed < cfg.generations:
@@ -441,17 +462,13 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
                 rundir.checkpoint(state)
                 raise
             history.append(stats)
-            if (state.best_value, state.best_code) != best_before:
-                rundir.append_best(state.best_code, state.best_value, stats.t)
-            rundir.append_stats(stats)
+            improved = (state.best_value, state.best_code) != best_before
+            rundir.append(stats, state.best_code if improved else None)
             rundir.checkpoint(state)
             if log:
                 log(stats)
-            if cfg.target is not None and state.best_value is not None \
-                    and state.best_value >= cfg.target:
-                stopped_early = True
-                break
-            if cfg.early_stop and early_stop_check(history, cfg.early_stop):
+            if (cfg.target is not None and state.best_value >= cfg.target) \
+                    or (cfg.early_stop and early_stop_check(history, cfg.early_stop)):
                 stopped_early = True
                 break
         assert state.best_code is not None
@@ -459,11 +476,8 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
             best_graph=decode_int(state.best_code.code, state.best_code.n),
             best_value=state.best_value,
             best_code=state.best_code,
-            hit_generation=state.hit_generation,
             stats=history,
-            evaluations=len(main.cache),
             stopped_early=stopped_early,
-            params=state.params,
         )
 
 
@@ -501,8 +515,7 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
     consecutive rollouts produce no new class."""
     if count < 1 or patience < 1:
         raise ConfigError(f"need count >= 1 and patience >= 1, got {count} and {patience}")
-    if params.n_max < n:
-        params = extend_to_n(params, n)
+    params = _sized(params, n)
     codes: set[CanonicalCode] = set()
     attempts = 0
     stale = 0
@@ -533,8 +546,7 @@ def regeneration_frequency(params: PolicyParams, n: int, reward: CachedReward,
     """Fraction of policy rollouts whose graph attains target_value; the
     eta0 calibration accepts an eta once this reaches 1/1000 after training.
     """
-    if params.n_max < n:
-        params = extend_to_n(params, n)
+    params = _sized(params, n)
     hits = 0
     for start in range(0, rollouts, EVAL_CHUNK):
         for tr in _frozen_rollouts(params, n, seed, start, min(start + EVAL_CHUNK, rollouts)):

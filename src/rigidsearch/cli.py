@@ -11,9 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import re
 import sys
 import typing
+
+# One BLAS thread, set before numpy is imported: a pool gains no wall time on
+# the policy's small matmuls and burns another core.  A user's value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import yaml
 
@@ -341,19 +347,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OracleTransportError, OracleProtocolError) as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
-    except (OracleDomainError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OracleDomainError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

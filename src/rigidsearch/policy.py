@@ -175,13 +175,11 @@ def _mlp_backward(t: dict[str, np.ndarray], prefix: str, cache, dout: np.ndarray
     return d
 
 
-def gin_forward(params: PolicyParams, g: Graph, feats: np.ndarray | None = None):
+def gin_forward(params: PolicyParams, g: Graph):
     """Vertex embeddings (k, 32) plus the caches backprop needs."""
     t = params.tensors
-    if feats is None:
-        feats = build_features(g, params)
     adj = _dense_adj(g)
-    h = feats
+    h = build_features(g, params)
     layers = []
     for l in range(GIN_LAYERS):
         s = (1.0 + t[f"gin{l}.eps"]) * h + adj @ h

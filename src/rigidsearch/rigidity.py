@@ -236,12 +236,12 @@ def extension_impact(g: Graph, reward, kinds: tuple[str, ...] = (ZERO, ONE)) -> 
     if not children:
         raise ValueError("graph has no children under the selected kinds")
     rows = []
-    best: tuple[Graph, object, int] | None = None
+    best: tuple[Graph, object] | None = None
     for cc in sorted(children):
         child, kind = children[cc]
         value = reward(child)
         rows.append(ImpactRow(code=cc.code, kind=kind, value=value))
         if best is None or value > best[1]:
-            best = (child, value, cc.code)
+            best = (child, value)
     assert best is not None
     return ImpactResult(best_graph=best[0], best_value=best[1], rows=tuple(rows))
