@@ -23,9 +23,10 @@ import numpy as np
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
 from .nac import NAC_GUARD
 from .oracle import OracleError
-from .policy import (FLAT_VARIANT, GIN_VARIANT, PolicyParams, action_distribution,
-                     adam_step, extend_to_n, flat_output_dim, init_params,
-                     load_params, loss_and_gradients, sample_action, save_params)
+from .policy import (FLAT_VARIANT, GIN_VARIANT, PolicyParams, action_counts,
+                     action_distribution, adam_step, extend_to_n, flat_output_dim,
+                     init_params, load_params, loss_and_gradients, sample_action,
+                     save_params)
 from .rewards import CachedReward, ConfigError, needs_oracle, open_rewards, two_stage_select
 from .rigidity import Extension, apply_extension, k2
 
@@ -226,16 +227,13 @@ _INIT_STREAM = (1 << 30) + 1
 
 def _train(params: PolicyParams, dataset, eta: float, epochs: int, lr: float, rng) -> None:
     """Per-state Adam steps: each epoch visits the distinct states of the
-    elite dataset in shuffled order, one update per state's pair group."""
-    groups: dict[tuple, list] = {}
-    for g, ext in dataset:
-        groups.setdefault((g.n, g.rows), []).append((g, ext))
+    elite dataset in shuffled order, one update per state's action counts."""
+    groups = action_counts(dataset)
     keys = sorted(groups)
     for _ in range(epochs):
         order = rng.permutation(len(keys))
         for j in order:
-            batch = groups[keys[j]]
-            _, grads = loss_and_gradients(params, batch, eta)
+            _, grads = loss_and_gradients(params, {keys[j]: groups[keys[j]]}, eta)
             adam_step(params, grads, lr)
 
 
@@ -314,11 +312,12 @@ KEEP_CHECKPOINTS = 3
 
 class _RunDir:
     """Writes the run directory: config, generations.csv, best.txt and the
-    latest KEEP_CHECKPOINTS checkpoint-<t> files.  A run starting after
-    `completed` generations keeps what the directory holds of generations
-    <= completed, so a resume continues it and a fresh run drops the rest."""
+    latest KEEP_CHECKPOINTS checkpoint-<t> files.  It keeps what the
+    directory holds of generations <= `kept` and drops the rest: a resume
+    passes the generations its checkpoint completed and continues the
+    directory, a fresh run passes -1 and keeps nothing of an old run."""
 
-    def __init__(self, path: str | None, cfg: CemConfig, completed: int):
+    def __init__(self, path: str | None, cfg: CemConfig, kept: int):
         self.path = path
         if not path:
             return
@@ -330,14 +329,14 @@ class _RunDir:
         rows = self._lines("generations.csv")[1:]
         with open(os.path.join(path, "generations.csv"), "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(CSV_COLUMNS)
-            fh.writelines(r for r in rows if int(r.split(",")[0]) <= completed)
+            fh.writelines(r for r in rows if int(r.split(",")[0]) <= kept)
         best = self._lines("best.txt")
         if best:
             with open(os.path.join(path, "best.txt"), "w", encoding="utf-8") as fh:
-                fh.writelines(b for b in best if int(b.split()[-1]) <= completed)
+                fh.writelines(b for b in best if int(b.split()[-1]) <= kept)
         for name in os.listdir(path):
             t = name.removeprefix("checkpoint-")
-            if t != name and t.isdigit() and int(t) > completed:
+            if t != name and t.isdigit() and int(t) > kept:
                 os.remove(os.path.join(path, name))
 
     def _lines(self, name: str) -> list[str]:
@@ -418,8 +417,14 @@ def load_checkpoint(path: str) -> RunState:
 
 
 def _sized(params: PolicyParams, n: int) -> PolicyParams:
-    """The weights, extended to target n if they were trained for fewer vertices."""
-    return params if params.n_max >= n else extend_to_n(params, n)
+    """The weights, extended to target n if they were trained for fewer
+    vertices; flat-mlp weights are sized to their n_max and cannot be."""
+    if params.n_max >= n:
+        return params
+    if params.variant == FLAT_VARIANT:
+        raise ConfigError(f"flat-mlp weights for n_max={params.n_max} cannot be "
+                          f"extended to n={n}; use weights for n >= {n}")
+    return extend_to_n(params, n)
 
 
 def _start(cfg: CemConfig, resume_from: str | None) -> RunState:
@@ -451,7 +456,7 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
     state = _start(cfg, resume_from)
     with open_rewards(cfg.reward, cfg.rho_main, cfg.oracle, cfg.oracle_table,
                       cfg.oracle_procs, cfg.nac_guard) as (main, surrogate):
-        rundir = _RunDir(cfg.out, cfg, state.completed)
+        rundir = _RunDir(cfg.out, cfg, state.completed if resume_from else -1)
         history: list[GenerationStats] = []
         stopped_early = False
         while state.completed < cfg.generations:
@@ -528,7 +533,8 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
             codes.add(tr.code)
             attempts += 1
             stale = 0 if len(codes) > before else stale + 1
-    values = {cc: reward.value(cc) for cc in sorted(codes)}
+    ordered = sorted(codes)
+    values = dict(zip(ordered, reward.values(ordered)))
     best_cc = min(values, key=lambda cc: (-values[cc], cc))
     return DeployResult(
         best_value=values[best_cc],
@@ -549,9 +555,8 @@ def regeneration_frequency(params: PolicyParams, n: int, reward: CachedReward,
     params = _sized(params, n)
     hits = 0
     for start in range(0, rollouts, EVAL_CHUNK):
-        for tr in _frozen_rollouts(params, n, seed, start, min(start + EVAL_CHUNK, rollouts)):
-            if reward.value(tr.code) == target_value:
-                hits += 1
+        traces = _frozen_rollouts(params, n, seed, start, min(start + EVAL_CHUNK, rollouts))
+        hits += reward.values([tr.code for tr in traces]).count(target_value)
     return hits / rollouts
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import shlex
 import subprocess
 import sys
+import threading
+from collections import deque
 from contextlib import contextmanager
 from importlib import resources
 
@@ -89,6 +91,10 @@ class OracleClient:
             raise OracleDomainError(parts[1] if len(parts) == 2 else "unspecified")
         raise OracleProtocolError(f"unparseable oracle reply: {line.strip()!r}")
 
+    def map(self, fn, items) -> list:
+        """fn over items, one after another."""
+        return [fn(x) for x in items]
+
     def close(self) -> None:
         proc = self._proc
         if proc.poll() is None:
@@ -110,22 +116,62 @@ class OracleClient:
 
 
 class OraclePool:
-    """Round-robin over several clients running the same oracle command."""
+    """Several clients running the same oracle command.  A query takes the
+    client idle longest and hands it back when its reply is in, so queries
+    from several threads never share a client and one caller's queries
+    alternate between the clients."""
 
     def __init__(self, command: str | list[str], procs: int = 1):
         if procs < 1:
             raise ValueError("need at least one oracle process")
         self.clients = [OracleClient(command) for _ in range(procs)]
-        self._next = 0
+        self._idle = deque(self.clients)
+        self._free = threading.Semaphore(procs)
 
     @property
     def request_count(self) -> int:
         return sum(c.request_count for c in self.clients)
 
     def query(self, invariant: str, n: int, code: int) -> int:
-        client = self.clients[self._next]
-        self._next = (self._next + 1) % len(self.clients)
-        return client.query(invariant, n, code)
+        with self._free:
+            client = self._idle.popleft()
+            try:
+                return client.query(invariant, n, code)
+            finally:
+                self._idle.append(client)
+
+    def map(self, fn, items) -> list:
+        """fn over items on one thread per client, results in input order.
+        Items start in input order, and none starts after a failure; once
+        the calls in flight end, the failure of the earliest item raises,
+        as it would have one item at a time."""
+        items = list(items)
+        results: list = [None] * len(items)
+        failures: dict[int, Exception] = {}
+        todo = iter(range(len(items)))
+        lock = threading.Lock()
+
+        def work():
+            while True:
+                with lock:
+                    i = None if failures else next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    failures[i] = exc
+
+        threads = [threading.Thread(target=work, daemon=True)
+                   for _ in range(min(len(self.clients), len(items)) - 1)]
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
+        if failures:
+            raise failures[min(failures)]
+        return results
 
     def close(self) -> None:
         for c in self.clients:

@@ -387,15 +387,10 @@ def _logit_grad_terms(logits: np.ndarray, action_counts: dict[int, int], eta: fl
     return float(loss), dz, ent
 
 
-def loss_and_gradients(params: PolicyParams, dataset, eta: float):
-    """Mean NLL of the taken actions minus eta times the mean full-softmax
-    entropy, over all dataset items; returns (loss, grad dict).
-
-    Items are (state, action) pairs or (state, step, action) triples; the
-    step of a state is its vertex count.  States repeated across items are
-    processed once with multiplicities."""
-    if not dataset:
-        raise ValueError("empty training batch")
+def action_counts(dataset) -> dict[tuple, tuple[Graph, dict[int, int]]]:
+    """Group (state, action) pairs or (state, step, action) triples by state:
+    (n, rows) -> (the state, {slot index: multiplicity}), in first-seen
+    order.  The step of a state is its vertex count."""
     groups: dict[tuple, tuple[Graph, dict[int, int]]] = {}
     for item in dataset:
         g, ext = item[0], item[-1]
@@ -407,14 +402,28 @@ def loss_and_gradients(params: PolicyParams, dataset, eta: float):
         idx = _slot_index_table(g.n)[ext]
         counts = groups[key][1]
         counts[idx] = counts.get(idx, 0) + 1
+    return groups
+
+
+def loss_and_gradients(params: PolicyParams, dataset, eta: float):
+    """Mean NLL of the taken actions minus eta times the mean full-softmax
+    entropy, over all dataset items; returns (loss, grad dict).
+
+    `dataset` is a list of items as `action_counts` takes them, or the
+    mapping it makes of one; each state is processed once with its
+    multiplicities."""
+    if not dataset:
+        raise ValueError("empty training batch")
+    groups = dataset if isinstance(dataset, dict) else action_counts(dataset)
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     total = 0.0
+    n = 0
     for g, counts in groups.values():
         logits, _, backward = _forward(params, g)
         loss, dz, _ = _logit_grad_terms(logits, counts, eta)
         backward(dz, grads)
         total += loss
-    n = len(dataset)
+        n += sum(counts.values())
     for name in grads:
         grads[name] /= n
     return total / n, grads

@@ -18,20 +18,31 @@ from .nac import NAC_GUARD, count_nac
 from .oracle import INVARIANTS, ConfigError, open_oracle, oracle_query
 
 
-class CachedReward:
-    """Evaluator over canonical codes with a per-run cache."""
+def _in_order(fn, items) -> list:
+    return [fn(x) for x in items]
 
-    def __init__(self, name: str, fn: Callable[[Graph], int]):
+
+class CachedReward:
+    """Evaluator over canonical codes with a per-run cache.  `batch(fn,
+    items)` scores the misses of one lookup, in input order."""
+
+    def __init__(self, name: str, fn: Callable[[Graph], int], batch=_in_order):
         self.name = name
         self.fn = fn
+        self.batch = batch
         self.cache: dict[CanonicalCode, int] = {}
         self.misses = 0
 
+    def values(self, codes: Sequence[CanonicalCode]) -> list[int]:
+        """One value per code, scoring each distinct miss once in one batch."""
+        todo = list(dict.fromkeys(cc for cc in codes if cc not in self.cache))
+        self.misses += len(todo)
+        scored = self.batch(self.fn, [decode_int(cc.code, cc.n) for cc in todo])
+        self.cache.update(zip(todo, scored))
+        return [self.cache[cc] for cc in codes]
+
     def value(self, cc: CanonicalCode) -> int:
-        if cc not in self.cache:
-            self.misses += 1
-            self.cache[cc] = self.fn(decode_int(cc.code, cc.n))
-        return self.cache[cc]
+        return self.values([cc])[0]
 
     def __call__(self, g: Graph) -> int:
         return self.value(canonical_code(g))
@@ -49,7 +60,7 @@ def make_reward(name: str, oracle=None, nac_guard: int = NAC_GUARD) -> CachedRew
     if name == "nac":
         return CachedReward("nac", lambda g: count_nac(g, max_edges=nac_guard))
     if name in INVARIANTS:
-        return CachedReward(name, lambda g: oracle_query(oracle, name, g))
+        return CachedReward(name, lambda g: oracle_query(oracle, name, g), oracle.map)
     raise ValueError(f"unknown reward {name!r}")
 
 
@@ -82,7 +93,7 @@ def two_stage_select(
     if rho_main < 1:
         if surrogate is None:
             raise ValueError("rho_main < 1 needs a surrogate reward")
-        scores = [surrogate.value(codes[i]) for i in idxs]
+        scores = surrogate.values(codes)
         idxs.sort(key=lambda i: (-scores[i], codes[i], i))
-        idxs = idxs[: math.ceil(rho_main * len(codes))]
-    return [(i, main.value(codes[i])) for i in sorted(idxs)]
+        idxs = sorted(idxs[: math.ceil(rho_main * len(codes))])
+    return list(zip(idxs, main.values([codes[i] for i in idxs])))

@@ -86,6 +86,20 @@ class TestStartRule:
         assert code == 2
         assert "n=7" in err and "--init-weights" in err
 
+    @pytest.mark.parametrize("command", ["search", "transfer-eval"])
+    def test_flat_mlp_weights_for_fewer_vertices_are_usage_error(self, capsys, tmp_path,
+                                                                 command):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("flat-mlp", 5), str(weights))
+        if command == "search":
+            argv = (*NAC, "--n", "6", "--generations", "1", "--policy", "flat-mlp",
+                    "--init-weights", weights)
+        else:
+            argv = ("transfer-eval", weights, "--n", "6", "--count", "5")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "flat-mlp" in err and "n=6" in err
+
     def test_resume_with_another_policy_is_usage_error(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         run_cli(capsys, *NAC, "--n", "6", "--generations", "1", "--out", out_dir)
@@ -139,6 +153,12 @@ for line in sys.stdin:
 """
 
 
+def write_sphere_table(path):
+    path.write_text("".join(
+        f"7 {cc.code} sphere {2 + cc.code % 97}\n7 {cc.code} mbezout {200 - cc.code % 89}\n"
+        for cc in sorted(enumerate_minimally_rigid(7))))
+
+
 class TestOracleCrash:
     def test_resume_after_crash_matches_uninterrupted_run(self, capsys, tmp_path):
         table = tmp_path / "table.txt"
@@ -169,6 +189,57 @@ class TestOracleCrash:
         assert (crashed / "best.txt").read_text() == (full / "best.txt").read_text()
         assert run_files(crashed) == run_files(full)
         assert_same_checkpoint(crashed / "checkpoint-3", full / "checkpoint-3")
+
+
+class TestOracleCrashTwoProcs:
+    ARGV = ("search", "--reward", "sphere", "--n", "7", "--m", "60", "--generations", "3",
+            "--early-stop", "0", "--rho-main", "0.256", "--seed", "2", "--quiet",
+            "--oracle-procs", "2")
+
+    def worker(self, tmp_path, replies):
+        table, script = tmp_path / "table.txt", tmp_path / "crashing_worker.py"
+        if not table.exists():
+            write_sphere_table(table)
+            script.write_text(CRASHING_WORKER)
+        return " ".join(shlex.quote(str(a)) for a in (sys.executable, script, table, replies))
+
+    def test_crash_exits_3_and_resumes_to_the_uninterrupted_run(self, capsys, tmp_path):
+        full, crashed = tmp_path / "full", tmp_path / "crashed"
+        assert run_cli(capsys, *self.ARGV, "--oracle", self.worker(tmp_path, 10**6),
+                       "--out", full)[0] == 0
+        # Seed 2 makes 15, 11 and 20 requests in its three generations, so
+        # two workers that each exit after 15 replies fail in generation 2
+        # or 3, whichever worker the requests reach.  A hang fails the test.
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidsearch.cli", *self.ARGV,
+             "--oracle", self.worker(tmp_path, 15), "--out", str(crashed)],
+            env=cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 3 and "oracle" in proc.stderr
+        done = len(rows(crashed))
+        assert 1 <= done <= 2
+        assert f"checkpoint-{done}" in run_files(crashed)
+        code, _, _ = run_cli(capsys, *self.ARGV, "--oracle", self.worker(tmp_path, 10**6),
+                             "--out", crashed, "--resume", crashed / f"checkpoint-{done}")
+        assert code == 0
+        assert rows(crashed) == rows(full)
+        assert (crashed / "best.txt").read_text() == (full / "best.txt").read_text()
+        assert run_files(crashed) == run_files(full)
+        assert_same_checkpoint(crashed / "checkpoint-3", full / "checkpoint-3")
+
+    def test_fresh_run_drops_the_crashed_runs_checkpoint(self, capsys, tmp_path):
+        argv = ("search", "--reward", "sphere", "--n", "7", "--m", "60", "--generations",
+                "2", "--early-stop", "0", "--rho-main", "0.256", "--quiet")
+        used, new = tmp_path / "used", tmp_path / "new"
+        code, _, _ = run_cli(capsys, *argv, "--seed", "2",
+                             "--oracle", self.worker(tmp_path, 5), "--out", used)
+        assert code == 3
+        assert run_files(used) == ["checkpoint-0", "config", "generations.csv"]
+        for out_dir in (used, new):
+            assert run_cli(capsys, *argv, "--seed", "3", "--oracle",
+                           self.worker(tmp_path, 10**6), "--out", out_dir)[0] == 0
+        assert "checkpoint-0" not in run_files(used)
+        assert run_files(used) == run_files(new)
+        assert rows(used, drop=("seconds",)) == rows(new, drop=("seconds",))
 
 
 def cli_env(**blas):
