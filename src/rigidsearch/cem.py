@@ -101,6 +101,8 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
         out.eta0 = default_eta0(out.n)
     if out.n < 3:
         raise ConfigError(f"need n >= 3, got {out.n}")
+    if out.reward == "nac" and out.nac_guard < 2 * out.n - 3:
+        raise ConfigError(f"nac_guard {out.nac_guard} is below |E|={2 * out.n - 3} at n={out.n}")
     if out.m < 1:
         raise ConfigError(f"need m >= 1, got {out.m}")
     if not 0 < out.rho_surv <= out.rho_elite <= 1:
@@ -518,6 +520,8 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
     are collected, evaluate the reward on each, and report the maximum with
     the value histogram.  Stops early (saturation) after `patience`
     consecutive rollouts produce no new class."""
+    if n < 3:
+        raise ConfigError(f"need n >= 3, got {n}")
     if count < 1 or patience < 1:
         raise ConfigError(f"need count >= 1 and patience >= 1, got {count} and {patience}")
     params = _sized(params, n)

@@ -56,17 +56,43 @@ def is_nac_coloring(g: Graph, red) -> bool:
     return True
 
 
+def _survivors(edges, i: int, own: list[int], other: list[int],
+               own_edges: tuple, other_edges: tuple) -> int:
+    """Colorings of edges[i + 1:] that survive once edges[i] takes the own
+    color, given each vertex's component bitmask per color and the edges
+    colored so far.  A merge builds a new `own`, so no argument changes."""
+    u, v = edges[i]
+    if other[u] >> v & 1:
+        return 0  # endpoints already joined in the other color
+    cu, cv = own[u], own[v]
+    if cu != cv:
+        merged = cu | cv
+        # only the grown component can trap an other-colored edge
+        for x, y in other_edges:
+            if merged >> x & merged >> y & 1:
+                return 0
+        own = [merged if c & merged else c for c in own]
+    own_edges += ((u, v),)
+    i += 1
+    if i == len(edges):
+        return 1
+    return (_survivors(edges, i, own, other, own_edges, other_edges)
+            + _survivors(edges, i, other, own, other_edges, own_edges))
+
+
 def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     """Number of NAC-colorings up to swapping the colors.
 
     The first edge is pinned red, which breaks the swap symmetry, and the
-    remaining 2^(|E|-1) assignments are walked depth first so the component
-    state of a shared prefix is built once.  Components are vertex bitmasks
-    merged incrementally; a branch dies as soon as some edge joins two
-    vertices already connected in the other color, which is exactly when the
-    first non-monochromatic cycle short of two edges per color appears.
-    Edges are ordered so each prefix spans an induced subgraph on a vertex
-    prefix, making every cycle constraint fire as early as possible.
+    remaining 2^(|E|-1) assignments are walked depth first by `_survivors`,
+    one level per edge, which returns the colorings that survive below it.
+    Components are vertex bitmasks; a merge copies them rather than being
+    undone, and a shared prefix builds them once.  A branch dies as soon as
+    some edge joins two vertices already connected in the other color,
+    which is exactly when the first non-monochromatic cycle short of two
+    edges per color appears.  Edges are ordered so each prefix spans an
+    induced subgraph on a vertex prefix, making every cycle constraint fire
+    as early as possible.
     """
     m = g.edge_count
     if m > max_edges:
@@ -74,60 +100,6 @@ def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     if m < 2:
         return 0
     edges = sorted(g.edges(), key=lambda e: (e[1], e[0]))
-    comp_red = [1 << v for v in range(g.n)]
-    comp_blue = [1 << v for v in range(g.n)]
-    red_edges: list[tuple[int, int]] = []
-    blue_edges: list[tuple[int, int]] = []
-    leaves = 0
-
-    def merge(comp: list[int], u: int, v: int) -> tuple[int, int] | None:
-        cu, cv = comp[u], comp[v]
-        if cu == cv:
-            return None
-        merged = cu | cv
-        b = merged
-        while b:
-            low = b & -b
-            comp[low.bit_length() - 1] = merged
-            b ^= low
-        return (cu, cv)
-
-    def unmerge(comp: list[int], saved: tuple[int, int]) -> None:
-        for old in saved:
-            b = old
-            while b:
-                low = b & -b
-                comp[low.bit_length() - 1] = old
-                b ^= low
-
-    def assign(i: int, u: int, v: int, own: list[int], other: list[int],
-               own_edges: list[tuple[int, int]], other_edges: list[tuple[int, int]]) -> None:
-        nonlocal leaves
-        if other[u] >> v & 1:
-            return  # endpoints already joined in the other color
-        saved = merge(own, u, v)
-        if saved is not None:
-            # the merge may trap an other-colored edge inside the grown component
-            for x, y in other_edges:
-                if own[x] >> y & 1:
-                    unmerge(own, saved)
-                    return
-        own_edges.append((u, v))
-        descend(i + 1)
-        own_edges.pop()
-        if saved is not None:
-            unmerge(own, saved)
-
-    def descend(i: int) -> None:
-        nonlocal leaves
-        if i == m:
-            leaves += 1
-            return
-        u, v = edges[i]
-        assign(i, u, v, comp_red, comp_blue, red_edges, blue_edges)
-        assign(i, u, v, comp_blue, comp_red, blue_edges, red_edges)
-
-    u0, v0 = edges[0]
-    assign(0, u0, v0, comp_red, comp_blue, red_edges, blue_edges)
+    singletons = [1 << v for v in range(g.n)]
     # the all-red leaf survives every check but is not surjective
-    return leaves - 1
+    return _survivors(edges, 0, singletons, singletons, (), ()) - 1

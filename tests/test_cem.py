@@ -74,6 +74,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             resolve_config(CemConfig(reward="nac", rho_main=0.5))
 
+    def test_nac_guard_must_admit_the_edge_count(self):
+        # every graph at n has 2n - 3 edges
+        assert resolve_config(CemConfig(reward="nac", n=10, nac_guard=17)).nac_guard == 17
+        with pytest.raises(ConfigError, match="nac_guard 16"):
+            resolve_config(CemConfig(reward="nac", n=10, nac_guard=16))
+        # only a NAC reward counts colorings
+        resolve_config(CemConfig(reward="sphere", n=10, nac_guard=16, oracle="true"))
+
 
 class TestSchedule:
     def test_known_value(self):

@@ -187,6 +187,14 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "--n", "2", "--reward", "nac")
         assert code == 2 and "error" in err
 
+    def test_nac_guard_below_edge_count_fails_before_the_run(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, "search", "--reward", "nac", "--n", "10",
+                               "--m", "200", "--generations", "1", "--nac-guard", "5",
+                               "--out", str(out_dir))
+        assert code == 2 and "nac_guard 5" in err
+        assert not out_dir.exists()
+
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("reward: nac\nn: 6\nm: 40\ngenerations: 1\n"
@@ -309,6 +317,12 @@ class TestTransferEval:
                                flag, "0")
         assert code == 2
         assert "need count >= 1 and patience >= 1" in err
+
+    def test_n_below_three_is_config_error(self, capsys, tmp_path):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        code, _, err = run_cli(capsys, "transfer-eval", str(weights), "--n", "2")
+        assert code == 2 and "need n >= 3, got 2" in err
 
     def test_missing_weights(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "transfer-eval",
