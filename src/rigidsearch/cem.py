@@ -23,15 +23,15 @@ import numpy as np
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
 from .nac import NAC_GUARD
 from .oracle import OracleError
-from .policy import (FLAT_VARIANT, GIN_VARIANT, PolicyParams, action_counts,
+from .policy import (FLAT_VARIANT, GIN_VARIANT, VARIANTS, PolicyParams, action_counts,
                      action_distribution, adam_step, extend_to_n, flat_output_dim,
                      init_params, load_params, loss_and_gradients, sample_action,
                      save_params)
-from .rewards import CachedReward, ConfigError, needs_oracle, open_rewards, two_stage_select
+from .rewards import (REWARDS, CachedReward, ConfigError, check_nac_guard, needs_oracle,
+                      open_rewards, two_stage_select)
 from .rigidity import Extension, apply_extension, k2
 
 
-REWARDS = ("nac", "plane", "sphere", "mbezout")
 SCHEDULES = ("eq5", "constant", "none")
 
 # Calibrated eta0 anchors (see README): largest value on the grid
@@ -101,8 +101,7 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
         out.eta0 = default_eta0(out.n)
     if out.n < 3:
         raise ConfigError(f"need n >= 3, got {out.n}")
-    if out.reward == "nac" and out.nac_guard < 2 * out.n - 3:
-        raise ConfigError(f"nac_guard {out.nac_guard} is below |E|={2 * out.n - 3} at n={out.n}")
+    check_nac_guard(out.reward, out.nac_guard, 2 * out.n - 3)
     if out.m < 1:
         raise ConfigError(f"need m >= 1, got {out.m}")
     if not 0 < out.rho_surv <= out.rho_elite <= 1:
@@ -115,7 +114,7 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
         raise ConfigError("epochs, lr, eta0 out of range")
     if out.early_stop < 0:
         raise ConfigError("early_stop must be >= 0")
-    if out.policy not in (GIN_VARIANT, FLAT_VARIANT):
+    if out.policy not in VARIANTS:
         raise ConfigError(f"unknown policy {out.policy!r}")
     if out.schedule not in SCHEDULES:
         raise ConfigError(f"unknown schedule {out.schedule!r}")
@@ -227,6 +226,14 @@ _TRAIN_STREAM = 1 << 30
 _INIT_STREAM = (1 << 30) + 1
 
 
+def _seeded_rollouts(params: PolicyParams, n: int, seed: int, t: int, start: int,
+                     stop: int) -> list[RolloutTrace]:
+    """Lockstep traces under the generators (seed, t, i), start <= i < stop;
+    a search generation t >= 1 and a frozen-policy evaluation t = 0."""
+    return rollouts(params, n, [np.random.default_rng((seed, t, i))
+                                for i in range(start, stop)])
+
+
 def _train(params: PolicyParams, dataset, eta: float, epochs: int, lr: float, rng) -> None:
     """Per-state Adam steps: each epoch visits the distinct states of the
     elite dataset in shuffled order, one update per state's action counts."""
@@ -246,8 +253,7 @@ def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
     t = state.completed + 1
     start = time.monotonic()
     population = list(state.survivors)
-    rngs = [np.random.default_rng((cfg.seed, t, i)) for i in range(len(population), cfg.m)]
-    population += rollouts(state.params, cfg.n, rngs)
+    population += _seeded_rollouts(state.params, cfg.n, cfg.seed, t, len(population), cfg.m)
     codes = [tr.code for tr in population]
     fresh = {c for c in codes if c not in state.seen}
 
@@ -312,6 +318,14 @@ class RunResult:
 KEEP_CHECKPOINTS = 3
 
 
+def write_csv(path: str, header, rows) -> None:
+    """One header row, then the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 class _RunDir:
     """Writes the run directory: config, generations.csv, best.txt and the
     latest KEEP_CHECKPOINTS checkpoint-<t> files.  It keeps what the
@@ -328,10 +342,9 @@ class _RunDir:
 
         with open(os.path.join(path, "config"), "w", encoding="utf-8") as fh:
             yaml.safe_dump(dataclasses.asdict(cfg), fh, sort_keys=True)
-        rows = self._lines("generations.csv")[1:]
-        with open(os.path.join(path, "generations.csv"), "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(CSV_COLUMNS)
-            fh.writelines(r for r in rows if int(r.split(",")[0]) <= kept)
+        rows = list(csv.reader(self._lines("generations.csv")))[1:]
+        write_csv(os.path.join(path, "generations.csv"), CSV_COLUMNS,
+                  (r for r in rows if int(r[0]) <= kept))
         best = self._lines("best.txt")
         if best:
             with open(os.path.join(path, "best.txt"), "w", encoding="utf-8") as fh:
@@ -497,13 +510,6 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
 EVAL_CHUNK = 1000
 
 
-def _frozen_rollouts(params: PolicyParams, n: int, seed: int, start: int,
-                     stop: int) -> list[RolloutTrace]:
-    """Lockstep traces under the generators (seed, 0, i), start <= i < stop."""
-    return rollouts(params, n, [np.random.default_rng((seed, 0, i))
-                                for i in range(start, stop)])
-
-
 @dataclass
 class DeployResult:
     best_value: int
@@ -532,7 +538,7 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
         # each rollout raises len(codes) or stale by at most one, so a chunk
         # this size ends no later than the stopping point
         chunk = min(EVAL_CHUNK, count - len(codes), patience - stale)
-        for tr in _frozen_rollouts(params, n, seed, attempts, attempts + chunk):
+        for tr in _seeded_rollouts(params, n, seed, 0, attempts, attempts + chunk):
             before = len(codes)
             codes.add(tr.code)
             attempts += 1
@@ -559,7 +565,7 @@ def regeneration_frequency(params: PolicyParams, n: int, reward: CachedReward,
     params = _sized(params, n)
     hits = 0
     for start in range(0, rollouts, EVAL_CHUNK):
-        traces = _frozen_rollouts(params, n, seed, start, min(start + EVAL_CHUNK, rollouts))
+        traces = _seeded_rollouts(params, n, seed, 0, start, min(start + EVAL_CHUNK, rollouts))
         hits += reward.values([tr.code for tr in traces]).count(target_value)
     return hits / rollouts
 
@@ -583,8 +589,5 @@ def schedule_study(cfg: CemConfig, schedules: list[str], seeds: list[int],
             result = run(sub)
             rows.extend((spec, seed, s.t, s.best) for s in result.stats)
     if out_csv:
-        with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("schedule", "seed", "generation", "best"))
-            w.writerows(rows)
+        write_csv(out_csv, ("schedule", "seed", "generation", "best"), rows)
     return rows

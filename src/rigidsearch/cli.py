@@ -9,7 +9,6 @@ protocol error.  Graph codes are decimal strings of arbitrary size.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import re
@@ -30,8 +29,8 @@ from .graphs import (Graph, automorphism_count, canonical_code, decode_int,
 from .nac import NAC_GUARD, count_nac
 from .oracle import (INVARIANTS, OracleDomainError, OracleProtocolError,
                      OracleTransportError, open_oracle, oracle_query)
-from .policy import load_params
-from .rewards import open_rewards
+from .policy import VARIANTS, load_params
+from .rewards import check_nac_guard, open_rewards
 from .rigidity import (ONE, ZERO, enumerate_minimally_rigid,
                        enumerate_zero_ext_constructible, extension_impact,
                        is_minimally_rigid, peel_to_core, prop1_lower_bound)
@@ -53,7 +52,7 @@ def _named_core(name: str) -> Graph:
     m = re.fullmatch(r"k(\d+)", name)
     if m:
         return Graph.complete(int(m.group(1)))
-    raise ValueError(f"unknown core {name!r} (use k33 or k<j>)")
+    raise ConfigError(f"unknown core {name!r} (use k33 or k<j>)")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float)
     p.add_argument("--early-stop", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--policy", choices=("gin", "flat-mlp"))
+    p.add_argument("--policy", choices=VARIANTS)
     _add_oracle_flags(p)
     p.add_argument("--oracle-procs", type=int)
     p.add_argument("--init-weights")
@@ -153,6 +152,7 @@ def cmd_verify(args) -> int:
     bad = sorted(set(checks) - set(VERIFY_CHECKS))
     if bad:
         raise ConfigError(f"unknown checks: {', '.join(bad)} (have {', '.join(VERIFY_CHECKS)})")
+    core = _named_core(args.core) if "peel" in checks else None
     oracle_flags = (args.oracle, args.oracle_table) if "oracle" in checks else ()
     with open_oracle(*oracle_flags) as oracle:
         if "oracle" in checks and oracle is None:
@@ -173,7 +173,6 @@ def cmd_verify(args) -> int:
                 print(f"hamiltonian {str(rep.hamiltonian).lower()}")
                 print(f"chromatic_number {rep.chromatic_number}")
             elif check == "peel":
-                core = _named_core(args.core)
                 ok, witness = peel_to_core(g, core)
                 trail = "" if not ok else " " + ",".join(map(str, witness))
                 print(f"peel_{args.core} {str(ok).lower()}{trail}")
@@ -195,14 +194,13 @@ def cmd_verify(args) -> int:
 def cmd_impact(args) -> int:
     g = _decode_arg(args.code, args.n)
     kinds = {"zero": (ZERO,), "one": (ONE,), "both": (ZERO, ONE)}[args.kinds]
+    check_nac_guard(args.reward, args.nac_guard, g.edge_count + 2)  # every child's |E|
     with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,
                       nac_guard=args.nac_guard) as (reward, _):
         result = extension_impact(g, reward, kinds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("n", "code", "kind", "value"))
-            w.writerows((g.n + 1, row.code, row.kind, row.value) for row in result.rows)
+        cem.write_csv(args.out, ("n", "code", "kind", "value"),
+                      ((g.n + 1, row.code, row.kind, row.value) for row in result.rows))
     print(f"children {len(result.rows)}")
     print(f"best {g.n + 1} {canonical_code(result.best_graph).code} {result.best_value}")
     return 0
@@ -213,16 +211,14 @@ def cmd_impact(args) -> int:
 
 
 def cmd_transfer_eval(args) -> int:
+    check_nac_guard(args.reward, args.nac_guard, 2 * args.n - 3)
     params = load_params(args.weights)
     with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,
                       nac_guard=args.nac_guard) as (reward, _):
         result = cem.deploy_eval(params, args.n, reward, count=args.count,
                                  seed=args.seed, patience=args.patience)
     if args.hist_out:
-        with open(args.hist_out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("value", "count"))
-            w.writerows(sorted(result.histogram.items()))
+        cem.write_csv(args.hist_out, ("value", "count"), sorted(result.histogram.items()))
         print(f"histogram {args.hist_out}")
     print(f"distinct {result.distinct}")
     print(f"saturated {str(not result.complete).lower()}")

@@ -115,21 +115,24 @@ class Graph:
             rows[perm[u]] = ru
         return Graph(self.n, tuple(rows))
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        frontier = 1
+    def reach(self, src: int, allowed: int) -> int:
+        """Mask of the vertices reachable from mask src inside mask allowed."""
+        rows = self.rows
+        seen = frontier = src & allowed
         while frontier:
             nxt = 0
             m = frontier
             while m:
                 b = m & -m
-                nxt |= self.rows[b.bit_length() - 1]
+                nxt |= rows[b.bit_length() - 1]
                 m ^= b
-            frontier = nxt & ~seen
+            frontier = nxt & allowed & ~seen
             seen |= frontier
-        return seen == (1 << self.n) - 1
+        return seen
+
+    def is_connected(self) -> bool:
+        full = (1 << self.n) - 1
+        return self.reach(1, full) == full
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -230,7 +233,8 @@ class CanonicalCode(NamedTuple):
 
 
 def _refine(rows: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Iterated neighborhood refinement; colors stay compact ranks."""
+    """Iterated neighborhood refinement to compact ranks.  Any order-preserving
+    relabeling of the input colors gives the same output."""
     n = len(rows)
     ncolors = len(set(colors))
     while True:
@@ -253,18 +257,14 @@ def _refine(rows: tuple[int, ...], colors: list[int]) -> list[int]:
 
 
 def _degree_colors(rows: tuple[int, ...]) -> list[int]:
-    degs = [r.bit_count() for r in rows]
-    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    return [rank[d] for d in degs]
+    return [r.bit_count() for r in rows]
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
     """Give v a fresh color just below its current cell."""
     out = [2 * c + 1 for c in colors]
     out[v] = 2 * colors[v]
-    ordered = sorted(set(out))
-    rank = {c: i for i, c in enumerate(ordered)}
-    return [rank[c] for c in out]
+    return out
 
 
 def _encode_under(rows: tuple[int, ...], n: int, colors: list[int]) -> int:
@@ -397,26 +397,12 @@ def is_hamiltonian(g: Graph) -> bool:
     rows = g.rows
     full = (1 << n) - 1
 
-    def reachable(src_mask: int, allowed: int) -> int:
-        seen = src_mask & allowed
-        frontier = seen
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= rows[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & allowed & ~seen
-            seen |= frontier
-        return seen
-
     def extend(cur: int, visited: int) -> bool:
         if visited == full:
             return bool(rows[cur] & 1)  # close the cycle at vertex 0
         rest = full & ~visited
         # all unvisited vertices must be reachable from cur through unvisited
-        if reachable(rows[cur] & rest, rest) != rest:
+        if g.reach(rows[cur], rest) != rest:
             return False
         m = rows[cur] & rest
         while m:

@@ -43,6 +43,7 @@ MAX_RESAMPLE = 32  # invalid draws rejected before sampling the valid mass
 
 GIN_VARIANT = "gin"
 FLAT_VARIANT = "flat-mlp"
+VARIANTS = (GIN_VARIANT, FLAT_VARIANT)
 
 
 @dataclass
@@ -464,15 +465,12 @@ def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     if extra:
         arrays.update(extra)
-    if hasattr(path, "write"):
-        np.savez(path, **arrays)
-    else:
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+    with open(path, "wb") as fh:  # np.savez would append .npz to a str path
+        np.savez(fh, **arrays)
 
 
 def load_params(path) -> PolicyParams:
-    with np.load(path if hasattr(path, "read") else str(path)) as data:
+    with np.load(str(path)) as data:
         if "meta" not in data:
             raise ValueError("weight file has no manifest")
         meta = json.loads(bytes(data["meta"].tobytes()).decode())

@@ -53,6 +53,15 @@ def needs_oracle(reward: str, rho_main: float = 1.0) -> bool:
     return reward in INVARIANTS or rho_main < 1
 
 
+def check_nac_guard(reward: str, nac_guard: int, edges: int) -> None:
+    """Refuse a nac reward whose guard is below the edge count of every graph it will score."""
+    if reward == "nac" and nac_guard < edges:
+        raise ConfigError(f"nac_guard {nac_guard} is below |E|={edges}")
+
+
+REWARDS = ("nac", *INVARIANTS)
+
+
 def make_reward(name: str, oracle=None, nac_guard: int = NAC_GUARD) -> CachedReward:
     """nac counts in process; plane/sphere/mbezout go through the oracle."""
     if needs_oracle(name) and oracle is None:

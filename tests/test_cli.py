@@ -444,3 +444,60 @@ class TestOracleOnlyWhenQueried:
         assert code == 0
         assert out == ("n 10\nedges 17\nminimally_rigid true\n"
                        "plane 880\nsphere 1536\nmbezout 1536\n")
+
+
+class TestGuardsBeforeWork:
+    """An impossible --nac-guard, or an unknown --core for the peel check, is
+    a usage error (2) raised before any rollout, child or output."""
+
+    def test_transfer_eval_guard_at_the_edge_count_passes(self, capsys, tmp_path):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        code, out, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
+                               "--count", "2", "--nac-guard", "7")
+        assert code == 0 and grep(out, "distinct") == "2"
+
+    def test_transfer_eval_guard_below_the_edge_count_exits_2(self, capsys, tmp_path):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        hist = tmp_path / "hist.csv"
+        code, out, err = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
+                                 "--count", "2", "--nac-guard", "6",
+                                 "--hist-out", str(hist))
+        assert code == 2 and out == "" and not hist.exists()
+        assert "nac_guard 6 is below |E|=7" in err
+
+    def test_impact_guard_at_the_child_edge_count_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "impact", "7", "--n", "3", "--nac-guard", "5")
+        assert code == 0 and grep(out, "children") == "1"
+
+    def test_impact_guard_below_the_child_edge_count_exits_2(self, capsys, tmp_path):
+        out_csv = tmp_path / "impact.csv"
+        code, out, err = run_cli(capsys, "impact", "7", "--n", "3", "--nac-guard", "4",
+                                 "--out", str(out_csv))
+        assert code == 2 and out == "" and not out_csv.exists()
+        assert "nac_guard 4 is below |E|=5" in err
+
+    def test_oracle_rewards_ignore_the_guard(self, capsys, tmp_path):
+        # the triangle's only child class, and the triangle itself, in a table
+        child = canonical_code(Graph.complete(4).remove_edge(0, 1))
+        table = tmp_path / "table.txt"
+        table.write_text(f"4 {child.code} plane 4\n3 7 sphere 2\n")
+        code, out, _ = run_cli(capsys, "impact", "7", "--n", "3", "--reward", "plane",
+                               "--oracle-table", str(table), "--nac-guard", "0")
+        assert code == 0 and grep(out, "best") == f"4 {child.code} 4"
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        code, out, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "3",
+                               "--count", "1", "--reward", "sphere",
+                               "--oracle-table", str(table), "--nac-guard", "0")
+        assert code == 0 and grep(out, "best") == "3 7 2"
+
+    def test_unknown_core_exits_2_before_output(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "7", "--checks", "rigid,peel",
+                                 "--core", "kx")
+        assert code == 2 and out == "" and "unknown core 'kx'" in err
+
+    def test_unknown_core_without_peel_is_ignored(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "7", "--checks", "rigid", "--core", "kx")
+        assert code == 0 and grep(out, "minimally_rigid") == "true"
