@@ -520,16 +520,21 @@ class DeployResult:
     complete: bool
 
 
+def check_deploy(n: int, count: int, patience: int) -> None:
+    """Refuse a `deploy_eval` setting that cannot run, before any worker starts."""
+    if n < 3:
+        raise ConfigError(f"need n >= 3, got {n}")
+    if count < 1 or patience < 1:
+        raise ConfigError(f"need count >= 1 and patience >= 1, got {count} and {patience}")
+
+
 def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
                 count: int = 10000, seed: int = 0, patience: int = 5000) -> DeployResult:
     """Roll out the frozen policy until `count` distinct isomorphism classes
     are collected, evaluate the reward on each, and report the maximum with
     the value histogram.  Stops early (saturation) after `patience`
     consecutive rollouts produce no new class."""
-    if n < 3:
-        raise ConfigError(f"need n >= 3, got {n}")
-    if count < 1 or patience < 1:
-        raise ConfigError(f"need count >= 1 and patience >= 1, got {count} and {patience}")
+    check_deploy(n, count, patience)
     params = _sized(params, n)
     codes: set[CanonicalCode] = set()
     attempts = 0

@@ -211,6 +211,7 @@ def cmd_impact(args) -> int:
 
 
 def cmd_transfer_eval(args) -> int:
+    cem.check_deploy(args.n, args.count, args.patience)
     check_nac_guard(args.reward, args.nac_guard, 2 * args.n - 3)
     params = load_params(args.weights)
     with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,

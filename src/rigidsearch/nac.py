@@ -56,50 +56,76 @@ def is_nac_coloring(g: Graph, red) -> bool:
     return True
 
 
+def _connectivity_first(g: Graph) -> list[int]:
+    """Vertices in placement order: each step places the unplaced vertex with
+    the most placed neighbours, ties going to the higher degree, then to the
+    lower label."""
+    rows = g.rows
+    order: list[int] = []
+    placed = 0
+    for _ in range(g.n):
+        v = min((v for v in range(g.n) if not placed >> v & 1),
+                key=lambda v: (-(rows[v] & placed).bit_count(), -g.degree(v), v))
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
 def _survivors(edges, i: int, own: list[int], other: list[int],
-               own_edges: tuple, other_edges: tuple) -> int:
+               own_adj: list[int], other_adj: list[int]) -> int:
     """Colorings of edges[i + 1:] that survive once edges[i] takes the own
-    color, given each vertex's component bitmask per color and the edges
-    colored so far.  A merge builds a new `own`, so no argument changes."""
+    color, given each vertex's component bitmask and neighbour bitmask per
+    color over the edges colored so far.  A step builds new lists, so no
+    argument changes."""
     u, v = edges[i]
     if other[u] >> v & 1:
         return 0  # endpoints already joined in the other color
     cu, cv = own[u], own[v]
     if cu != cv:
-        merged = cu | cv
-        # only the grown component can trap an other-colored edge
-        for x, y in other_edges:
-            if merged >> x & merged >> y & 1:
+        # only an other-colored edge from cu to cv can be trapped by the merge
+        m = cu
+        while m:
+            b = m & -m
+            if other_adj[b.bit_length() - 1] & cv:
                 return 0
+            m ^= b
+        merged = cu | cv
         own = [merged if c & merged else c for c in own]
-    own_edges += ((u, v),)
     i += 1
     if i == len(edges):
         return 1
-    return (_survivors(edges, i, own, other, own_edges, other_edges)
-            + _survivors(edges, i, other, own, other_edges, own_edges))
+    own_adj = own_adj.copy()
+    own_adj[u] |= 1 << v
+    own_adj[v] |= 1 << u
+    return (_survivors(edges, i, own, other, own_adj, other_adj)
+            + _survivors(edges, i, other, own, other_adj, own_adj))
 
 
 def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     """Number of NAC-colorings up to swapping the colors.
 
-    The first edge is pinned red, which breaks the swap symmetry, and the
-    remaining 2^(|E|-1) assignments are walked depth first by `_survivors`,
-    one level per edge, which returns the colorings that survive below it.
-    Components are vertex bitmasks; a merge copies them rather than being
-    undone, and a shared prefix builds them once.  A branch dies as soon as
-    some edge joins two vertices already connected in the other color,
-    which is exactly when the first non-monochromatic cycle short of two
-    edges per color appears.  Edges are ordered so each prefix spans an
-    induced subgraph on a vertex prefix, making every cycle constraint fire
-    as early as possible.
+    The graph is relabeled in `_connectivity_first` order and its edges are
+    sorted by larger, then smaller endpoint, so every cycle constraint fires
+    early whatever the input labels.  The first edge is pinned red, which
+    breaks the swap symmetry, and the remaining 2^(|E|-1) assignments are
+    walked depth first by `_survivors`, one level per edge, which returns the
+    colorings that survive below it.  Components and neighbourhoods are
+    vertex bitmasks; a step copies them rather than being undone, and a
+    shared prefix builds them once.  A branch dies as soon as some edge joins
+    two vertices already connected in the other color, which is exactly when
+    the first non-monochromatic cycle short of two edges per color appears:
+    either the new edge's endpoints are joined in the other color, or the
+    merge it causes traps an other-colored edge, which must run between the
+    two merged components, so a merge tests only those crossing edges.
     """
     m = g.edge_count
     if m > max_edges:
         raise GuardError(f"|E|={m} exceeds guard {max_edges}")
     if m < 2:
         return 0
-    edges = sorted(g.edges(), key=lambda e: (e[1], e[0]))
+    order = _connectivity_first(g)
+    relabeled = g.permuted([order.index(v) for v in range(g.n)])
+    edges = sorted(relabeled.edges(), key=lambda e: (e[1], e[0]))
     singletons = [1 << v for v in range(g.n)]
     # the all-red leaf survives every check but is not surjective
-    return _survivors(edges, 0, singletons, singletons, (), ()) - 1
+    return _survivors(edges, 0, singletons, singletons, [0] * g.n, [0] * g.n) - 1

@@ -493,6 +493,19 @@ class TestGuardsBeforeWork:
                                "--oracle-table", str(table), "--nac-guard", "0")
         assert code == 0 and grep(out, "best") == "3 7 2"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "2"], "need n >= 3, got 2"),
+        (["--n", "5", "--count", "0"], "need count >= 1 and patience >= 1"),
+    ], ids=["n-below-three", "zero-count"])
+    def test_transfer_eval_usage_error_before_the_oracle_starts(self, capsys, tmp_path,
+                                                                flags, message):
+        weights = tmp_path / "w.npz"
+        save_params(init_params("gin", 5), str(weights))
+        code, out, err = run_cli(capsys, "transfer-eval", str(weights), *flags,
+                                 "--reward", "plane", "--oracle", "/no/such/worker")
+        assert code == 2 and out == ""
+        assert message in err and "cannot start oracle" not in err
+
     def test_unknown_core_exits_2_before_output(self, capsys):
         code, out, err = run_cli(capsys, "verify", "7", "--checks", "rigid,peel",
                                  "--core", "kx")
