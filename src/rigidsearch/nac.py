@@ -6,6 +6,12 @@ iff no red edge joins two vertices of one blue component and no blue edge
 joins two vertices of one red component.  (A violating cycle has exactly one
 edge of some color; the rest of the cycle connects that edge's endpoints in
 the other color, and conversely.)
+
+`count_nac` counts by frontier dynamic programming over these components
+(frontier-based search: Kawahara, Inoue, Iwashita & Minato, IEICE Trans.
+Fundamentals E100-A(9), 2017, on the connectivity-partition DP of Sekine,
+Imai & Tani, ISAAC 1995), so its cost follows the number of distinct frontier
+states, not the number of colorings.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 from .graphs import Graph
 from .rigidity import GuardError
 
-NAC_GUARD = 34  # default refusal bound on |E|: a count walks 2^(|E|-1) colorings
+# Default refusal bound on |E|.  The frontier DP does not need it, but it keeps
+# NAC searches at the sizes the published records cover (n <= 18).
+NAC_GUARD = 34
 
 
 def _norm_edge(e: tuple[int, int]) -> tuple[int, int]:
@@ -60,72 +68,112 @@ def _connectivity_first(g: Graph) -> list[int]:
     """Vertices in placement order: each step places the unplaced vertex with
     the most placed neighbours, ties going to the higher degree, then to the
     lower label."""
-    rows = g.rows
+    n = g.n
+    # one integer per vertex orders by (-placed neighbours, -degree, label):
+    # a placed neighbour takes n * n off, more than v - n * degree spans
+    rank = [v - n * g.degree(v) for v in range(n)]
+    unplaced = list(range(n))
     order: list[int] = []
-    placed = 0
-    for _ in range(g.n):
-        v = min((v for v in range(g.n) if not placed >> v & 1),
-                key=lambda v: (-(rows[v] & placed).bit_count(), -g.degree(v), v))
+    for _ in range(n):
+        v = min(unplaced, key=rank.__getitem__)
+        unplaced.remove(v)
         order.append(v)
-        placed |= 1 << v
+        for u in g.neighbors(v):
+            rank[u] -= n * n
     return order
-
-
-def _survivors(edges, i: int, own: list[int], other: list[int],
-               own_adj: list[int], other_adj: list[int]) -> int:
-    """Colorings of edges[i + 1:] that survive once edges[i] takes the own
-    color, given each vertex's component bitmask and neighbour bitmask per
-    color over the edges colored so far.  A step builds new lists, so no
-    argument changes."""
-    u, v = edges[i]
-    if other[u] >> v & 1:
-        return 0  # endpoints already joined in the other color
-    cu, cv = own[u], own[v]
-    if cu != cv:
-        # only an other-colored edge from cu to cv can be trapped by the merge
-        m = cu
-        while m:
-            b = m & -m
-            if other_adj[b.bit_length() - 1] & cv:
-                return 0
-            m ^= b
-        merged = cu | cv
-        own = [merged if c & merged else c for c in own]
-    i += 1
-    if i == len(edges):
-        return 1
-    own_adj = own_adj.copy()
-    own_adj[u] |= 1 << v
-    own_adj[v] |= 1 << u
-    return (_survivors(edges, i, own, other, own_adj, other_adj)
-            + _survivors(edges, i, other, own, other_adj, own_adj))
 
 
 def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     """Number of NAC-colorings up to swapping the colors.
 
-    The graph is relabeled in `_connectivity_first` order and its edges are
-    sorted by larger, then smaller endpoint, so every cycle constraint fires
-    early whatever the input labels.  The first edge is pinned red, which
-    breaks the swap symmetry, and the remaining 2^(|E|-1) assignments are
-    walked depth first by `_survivors`, one level per edge, which returns the
-    colorings that survive below it.  Components and neighbourhoods are
-    vertex bitmasks; a step copies them rather than being undone, and a
-    shared prefix builds them once.  A branch dies as soon as some edge joins
-    two vertices already connected in the other color, which is exactly when
-    the first non-monochromatic cycle short of two edges per color appears:
-    either the new edge's endpoints are joined in the other color, or the
-    merge it causes traps an other-colored edge, which must run between the
-    two merged components, so a merge tests only those crossing edges.
+    Vertices are placed in `_connectivity_first` order, and placing a vertex
+    colors its edges to earlier vertices.  The frontier is the placed vertices
+    that still have an unplaced neighbour.  A state holds, for each color, the
+    partition of the frontier into components of that color, and the pairs of
+    its classes that an edge of the other color joins, which must never merge.
+    An edge dies if its ends already share a class of the other color, or if
+    it would merge two own-color classes that such a pair forbids.  Once a
+    vertex has no unplaced neighbour it leaves the frontier: a class left
+    without frontier vertices can never grow, so it and its pairs are dropped,
+    and equal states merge by adding their counts.  A state is packed into one
+    int: for each frontier vertex, in placement order, four n-bit vertex masks
+    (its red class, its blue class, and the union of the red and of the blue
+    classes that those may not merge with).  The first edge, between the
+    first two placed vertices, is pinned red, which breaks the swap symmetry.
     """
     m = g.edge_count
     if m > max_edges:
         raise GuardError(f"|E|={m} exceeds guard {max_edges}")
     if m < 2:
         return 0
-    order = _connectivity_first(g)
-    relabeled = g.permuted([order.index(v) for v in range(g.n)])
-    edges = sorted(relabeled.edges(), key=lambda e: (e[1], e[0]))
-    singletons = [1 << v for v in range(g.n)]
-    # the all-red leaf survives every check but is not surjective
-    return _survivors(edges, 0, singletons, singletons, [0] * g.n, [0] * g.n) - 1
+    n = g.n
+    at = [0] * n
+    for i, v in enumerate(_connectivity_first(g)):
+        at[v] = i
+    rows = g.permuted(at).rows  # vertex i is the i-th placed
+
+    # place() reads what the loop below sets: the vertex t being placed, its
+    # earlier neighbours (back), the frontier after it (kept, keep), one
+    # state's count and lists, and the states of the next frontier (new)
+    def place(k: int, red: int, red_ban: int, blue: int, blue_ban: int) -> None:
+        """Color the edges from t to back[k:], given the union of the classes
+        t joins per color so far and the union of the classes those may not
+        merge with; then record the state each surviving coloring reaches."""
+        if k < len(back):
+            u = back[k]
+            k += 1
+            if not (blue >> u & 1 or red_of[u] & red_ban):
+                place(k, red | red_of[u], red_ban | red_ban_of[u],
+                      blue, blue_ban | blue_of[u])
+            # the first edge, from vertex 1 to vertex 0, is pinned red
+            if t != 1 and not (red >> u & 1 or blue_of[u] & blue_ban):
+                place(k, red, red_ban | red_of[u],
+                      blue | blue_of[u], blue_ban | blue_ban_of[u])
+            return
+        red |= tb
+        blue |= tb
+        key = 0
+        for x in kept:
+            # t's classes replace those it joined; a class that one of those
+            # may not merge with may not merge with t's class either
+            if red >> x & 1:
+                r, rb = red, red_ban
+            else:
+                r = red_of[x]
+                rb = red_ban_of[x] | red if red_ban >> x & 1 else red_ban_of[x]
+            if blue >> x & 1:
+                b, bb = blue, blue_ban
+            else:
+                b = blue_of[x]
+                bb = blue_ban_of[x] | blue if blue_ban >> x & 1 else blue_ban_of[x]
+            key = (((key << n | r & keep) << n | b & keep) << n | rb & keep) << n | bb & keep
+        new[key] = new.get(key, 0) + count
+
+    full = (1 << n) - 1
+    states = {0: 1}  # packed state -> colorings of the placed edges reaching it
+    frontier: list[int] = []
+    for t in range(n):
+        tb = 1 << t
+        back = [u for u in frontier if rows[t] >> u & 1]
+        kept = [u for u in frontier + [t] if rows[u] >> t > 1]
+        keep = sum(1 << u for u in kept)
+        new = {}
+        for key, count in states.items():
+            red_of = [0] * n
+            blue_of = [0] * n
+            red_ban_of = [0] * n
+            blue_ban_of = [0] * n
+            for x in reversed(frontier):
+                blue_ban_of[x] = key & full
+                key >>= n
+                red_ban_of[x] = key & full
+                key >>= n
+                blue_of[x] = key & full
+                key >>= n
+                red_of[x] = key & full
+                key >>= n
+            place(0, 0, 0, 0, 0)
+        states = new
+        frontier = kept
+    # the all-red coloring survives every check but is not surjective
+    return states[0] - 1

@@ -96,3 +96,32 @@ class TestCountNac:
         with pytest.raises(GuardError):
             count_nac(g)
         assert count_nac(Graph.complete(3), max_edges=3) == 0
+
+
+class TestNotMinimallyRigid:
+    """`verify` accepts any code, so the counter must be exact beyond Laman
+    graphs; each case is checked against the brute-force enumeration."""
+
+    @pytest.mark.parametrize("n,edges", [
+        pytest.param(1, [], id="one-vertex"),
+        pytest.param(4, [], id="no-edges"),
+        pytest.param(3, [(0, 2)], id="one-edge"),
+        pytest.param(6, [(1, 3), (3, 4), (4, 1), (3, 5)], id="isolated-vertices"),
+        pytest.param(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)],
+                     id="triangle-and-four-cycle"),
+        pytest.param(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4)],
+                     id="two-components"),
+        pytest.param(9, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (6, 7), (7, 8)], id="forest"),
+    ])
+    def test_sparse_graphs_match_reference(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        assert count_nac(g) == naive_count(g)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(Graph.complete(5), id="K5"),
+        pytest.param(Graph.from_edges(6, [(0, 1)] + [(i, j) for i in range(3) for j in range(3, 6)]),
+                     id="K33-plus-an-edge"),
+    ])
+    def test_more_than_2n_minus_3_edges(self, g):
+        assert g.edge_count > 2 * g.n - 3
+        assert count_nac(g) == naive_count(g)

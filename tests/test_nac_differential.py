@@ -1,20 +1,74 @@
-"""`count_nac` against a test-local copy of the merge/unmerge counter it
-replaced: every count must match exactly, on every class up to eight
-vertices, on the record and comparison certificates under their given labels
-and a seeded relabeling, and on the graphs of seeded rollouts."""
+"""`count_nac`, a frontier DP, against two test-local depth-first counters
+it replaced: the connectivity-first counter (`survivors_count`) and the
+merge/unmerge counter before it (`ref_count_nac`).  Every count must match
+exactly, on every class up to eight vertices, on the record and comparison
+certificates from 13 to 18 vertices, on the children of the 13-vertex record
+and on the graphs of seeded rollouts."""
 
 import numpy as np
 import pytest
 
 from rigidsearch.cem import rollouts
-from rigidsearch.graphs import Graph, decode_int
-from rigidsearch.nac import NAC_GUARD, count_nac
+from rigidsearch.graphs import Graph, canonical_code, decode_int
+from rigidsearch.nac import NAC_GUARD, _connectivity_first, count_nac
 from rigidsearch.policy import init_params
-from rigidsearch.rigidity import GuardError, enumerate_minimally_rigid
+from rigidsearch.rigidity import (GuardError, apply_extension, enumerate_extensions,
+                                  enumerate_minimally_rigid)
 
 from conftest import NAC_COMPARISON, NAC_RECORDS
 
-# --- reference: the counter as it was, merging and undoing in place
+# --- reference: the connectivity-first depth-first counter, copying its
+# component and neighbour bitmasks on each step
+
+
+def _survivors(edges, i, own, other, own_adj, other_adj):
+    """Colorings of edges[i + 1:] that survive once edges[i] takes the own
+    color, given each vertex's component bitmask and neighbour bitmask per
+    color over the edges colored so far."""
+    u, v = edges[i]
+    if other[u] >> v & 1:
+        return 0  # endpoints already joined in the other color
+    cu, cv = own[u], own[v]
+    if cu != cv:
+        # only an other-colored edge from cu to cv can be trapped by the merge
+        m = cu
+        while m:
+            b = m & -m
+            if other_adj[b.bit_length() - 1] & cv:
+                return 0
+            m ^= b
+        merged = cu | cv
+        own = [merged if c & merged else c for c in own]
+    i += 1
+    if i == len(edges):
+        return 1
+    own_adj = own_adj.copy()
+    own_adj[u] |= 1 << v
+    own_adj[v] |= 1 << u
+    return (_survivors(edges, i, own, other, own_adj, other_adj)
+            + _survivors(edges, i, other, own, other_adj, own_adj))
+
+
+def _placed(g: Graph) -> Graph:
+    """g relabeled so that vertex i is the i-th of `_connectivity_first`."""
+    at = [0] * g.n
+    for i, v in enumerate(_connectivity_first(g)):
+        at[v] = i
+    return g.permuted(at)
+
+
+def survivors_count(g: Graph, max_edges: int = NAC_GUARD) -> int:
+    m = g.edge_count
+    if m > max_edges:
+        raise GuardError(f"|E|={m} exceeds guard {max_edges}")
+    if m < 2:
+        return 0
+    edges = sorted(_placed(g).edges(), key=lambda e: (e[1], e[0]))
+    singletons = [1 << v for v in range(g.n)]
+    return _survivors(edges, 0, singletons, singletons, [0] * g.n, [0] * g.n) - 1
+
+
+# --- reference: the counter before that, merging and undoing in place
 
 
 def ref_count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
@@ -83,7 +137,9 @@ def test_every_class_up_to_eight_vertices():
     graphs = [decode_int(cc.code, cc.n)
               for n in range(3, 9) for cc in enumerate_minimally_rigid(n)]
     assert len(graphs) == 696
-    assert [count_nac(g) for g in graphs] == [ref_count_nac(g) for g in graphs]
+    counts = [count_nac(g) for g in graphs]
+    assert counts == [survivors_count(g) for g in graphs]
+    assert counts == [ref_count_nac(g) for g in graphs]
 
 
 CERTIFICATES = [pytest.param(n, code, count, id=f"{family}-{n}")
@@ -97,7 +153,33 @@ def test_certificates_under_given_and_seeded_labels(n, code, count):
     shuffled = g.permuted(list(np.random.default_rng(n).permutation(n)))
     assert shuffled != g
     for h in (g, shuffled):
-        assert count_nac(h) == ref_count_nac(h) == count
+        assert count_nac(h) == survivors_count(h) == ref_count_nac(h) == count
+
+
+LARGE = [pytest.param(n, code, count, id=f"{family}-{n}")
+         for family, certs in (("record", NAC_RECORDS), ("comparison", NAC_COMPARISON))
+         for n, (code, count) in certs.items() if n >= 16]
+
+
+@pytest.mark.parametrize("n,code,count", LARGE)
+def test_large_certificates_under_given_labels(n, code, count):
+    g = decode_int(code, n)
+    assert count_nac(g) == survivors_count(g) == ref_count_nac(g) == count
+
+
+def test_children_of_the_13_vertex_record():
+    g = decode_int(NAC_RECORDS[13][0], 13)
+    children = {}
+    for ext in enumerate_extensions(g):
+        child = apply_extension(g, ext)
+        children.setdefault(canonical_code(child), child)
+    assert len(children) == 185
+    for cc, child in children.items():
+        count = count_nac(child)
+        assert count_nac(decode_int(cc.code, cc.n)) == count, cc
+        assert survivors_count(child) == count, cc
+        # the reference is label-dependent only in speed
+        assert ref_count_nac(_placed(child)) == count, cc
 
 
 @pytest.mark.parametrize("n,count", [(10, 200), (13, 100)])
@@ -112,12 +194,12 @@ def test_rollout_graphs(n, count):
         graphs.setdefault(canonical.rows, canonical)
     assert len(graphs) > 100
     for g in graphs.values():
-        assert count_nac(g) == ref_count_nac(g), g.edges()
+        assert count_nac(g) == survivors_count(g) == ref_count_nac(g), g.edges()
 
 
 def test_guard_boundary():
     g = decode_int(NAC_RECORDS[13][0], 13)
-    assert count_nac(g, max_edges=g.edge_count) == ref_count_nac(g) == NAC_RECORDS[13][1]
-    for counter in (count_nac, ref_count_nac):
+    for counter in (count_nac, survivors_count, ref_count_nac):
+        assert counter(g, max_edges=g.edge_count) == NAC_RECORDS[13][1]
         with pytest.raises(GuardError):
             counter(g, max_edges=g.edge_count - 1)
