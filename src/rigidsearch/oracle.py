@@ -48,6 +48,11 @@ class OracleDomainError(OracleError):
     """The oracle answered ERR for this query."""
 
 
+def in_order(fn, items) -> list:
+    """fn over items, one after another."""
+    return [fn(x) for x in items]
+
+
 class OracleClient:
     """One oracle child process, answering one query at a time."""
 
@@ -91,9 +96,7 @@ class OracleClient:
             raise OracleDomainError(parts[1] if len(parts) == 2 else "unspecified")
         raise OracleProtocolError(f"unparseable oracle reply: {line.strip()!r}")
 
-    def map(self, fn, items) -> list:
-        """fn over items, one after another."""
-        return [fn(x) for x in items]
+    map = staticmethod(in_order)
 
     def close(self) -> None:
         proc = self._proc

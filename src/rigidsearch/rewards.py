@@ -13,20 +13,16 @@ import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
-from .graphs import CanonicalCode, Graph, canonical_code, decode_int
+from .graphs import CanonicalCode, Graph, decode_int
 from .nac import NAC_GUARD, count_nac
-from .oracle import INVARIANTS, ConfigError, open_oracle, oracle_query
-
-
-def _in_order(fn, items) -> list:
-    return [fn(x) for x in items]
+from .oracle import INVARIANTS, ConfigError, in_order, open_oracle, oracle_query
 
 
 class CachedReward:
     """Evaluator over canonical codes with a per-run cache.  `batch(fn,
     items)` scores the misses of one lookup, in input order."""
 
-    def __init__(self, name: str, fn: Callable[[Graph], int], batch=_in_order):
+    def __init__(self, name: str, fn: Callable[[Graph], int], batch=in_order):
         self.name = name
         self.fn = fn
         self.batch = batch
@@ -43,9 +39,6 @@ class CachedReward:
 
     def value(self, cc: CanonicalCode) -> int:
         return self.values([cc])[0]
-
-    def __call__(self, g: Graph) -> int:
-        return self.value(canonical_code(g))
 
 
 def needs_oracle(reward: str, rho_main: float = 1.0) -> bool:

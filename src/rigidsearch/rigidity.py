@@ -211,37 +211,32 @@ def peel_to_core(g: Graph, core: Graph) -> tuple[bool, list[int] | None]:
 class ImpactRow:
     code: int
     kind: str
-    value: object
+    value: int
 
 
 @dataclass(frozen=True)
 class ImpactResult:
     best_graph: Graph
-    best_value: object
+    best_value: int
     rows: tuple[ImpactRow, ...]
 
 
 def extension_impact(g: Graph, reward, kinds: tuple[str, ...] = (ZERO, ONE)) -> ImpactResult:
-    """Evaluate a reward on every child of g under the selected extension
-    kinds, isomorphism classes deduplicated.  A child reachable by several
-    moves keeps the kind of its first producer in slot order."""
+    """Score every child of g under the selected extension kinds, one row per
+    isomorphism class in code order.  Each child is canonicalized once, and a
+    class reachable by several moves keeps the kind of its first producer in
+    slot order.  `reward` must offer `values(codes)`, which scores all the
+    classes in one batch; ties for the best go to the smaller code."""
     children: dict[CanonicalCode, tuple[Graph, str]] = {}
     for ext in enumerate_extensions(g):
-        if ext.kind not in kinds:
-            continue
-        child = apply_extension(g, ext)
-        cc = canonical_code(child)
-        if cc not in children:
-            children[cc] = (child, ext.kind)
+        if ext.kind in kinds:
+            child = apply_extension(g, ext)
+            children.setdefault(canonical_code(child), (child, ext.kind))
     if not children:
         raise ValueError("graph has no children under the selected kinds")
-    rows = []
-    best: tuple[Graph, object] | None = None
-    for cc in sorted(children):
-        child, kind = children[cc]
-        value = reward(child)
-        rows.append(ImpactRow(code=cc.code, kind=kind, value=value))
-        if best is None or value > best[1]:
-            best = (child, value)
-    assert best is not None
-    return ImpactResult(best_graph=best[0], best_value=best[1], rows=tuple(rows))
+    codes = sorted(children)
+    values = dict(zip(codes, reward.values(codes)))
+    best = min(values, key=lambda cc: (-values[cc], cc))
+    return ImpactResult(best_graph=children[best][0], best_value=values[best],
+                        rows=tuple(ImpactRow(code=cc.code, kind=children[cc][1], value=v)
+                                   for cc, v in values.items()))

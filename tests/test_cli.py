@@ -1,4 +1,6 @@
 import csv
+import shlex
+import sys
 
 import pytest
 
@@ -133,6 +135,58 @@ class TestImpact:
                                "--reward", "plane",
                                "--oracle-table", bundled_stub_table())
         assert code == 1  # children of the triangle are not in the table
+
+
+# Logs each request, answers from the three child classes of `impact 31 --n 4`
+# and, at request FAIL, replies ERR or exits like a crashed worker.
+# Usage: impact_worker.py LOG FAIL err|exit
+IMPACT_WORKER = """\
+import sys
+log, fail, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+table = {"223": "7", "351": "11", "799": "5"}
+for i, line in enumerate(sys.stdin, 1):
+    with open(log, "a") as fh:
+        fh.write(line)
+    if i == fail and mode == "exit":
+        sys.exit(0)
+    reply = "ERR not in table" if i == fail else "OK " + table[line.split()[2]]
+    sys.stdout.write(reply + "\\n")
+    sys.stdout.flush()
+"""
+
+
+class TestImpactOracleFailure:
+    """The child classes are requested in code order, and an oracle failure
+    while they are scored leaves no output."""
+
+    def run(self, capsys, tmp_path, fail, mode):
+        script, log = tmp_path / "impact_worker.py", tmp_path / "requests.log"
+        script.write_text(IMPACT_WORKER)
+        worker = shlex.join([sys.executable, str(script), str(log), str(fail), mode])
+        out_csv = tmp_path / "impact.csv"
+        result = run_cli(capsys, "impact", "31", "--n", "4", "--reward", "plane",
+                         "--oracle", worker, "--out", str(out_csv))
+        return result, out_csv, log.read_text().splitlines()
+
+    def test_all_answered(self, capsys, tmp_path):
+        (code, out, _), out_csv, requests = self.run(capsys, tmp_path, 0, "err")
+        assert code == 0
+        assert out == "children 3\nbest 5 351 11\n"
+        assert out_csv.read_text().splitlines() == [
+            "n,code,kind,value", "5,223,zero,7", "5,351,zero,11", "5,799,zero,5"]
+        assert requests == ["PLANE 5 223", "PLANE 5 351", "PLANE 5 799"]
+
+    def test_err_on_the_second_request_exits_1(self, capsys, tmp_path):
+        (code, out, err), out_csv, requests = self.run(capsys, tmp_path, 2, "err")
+        assert code == 1 and "not in table" in err
+        assert out == "" and not out_csv.exists()
+        assert requests == ["PLANE 5 223", "PLANE 5 351"]
+
+    def test_worker_exit_mid_batch_exits_3(self, capsys, tmp_path):
+        (code, out, err), out_csv, requests = self.run(capsys, tmp_path, 2, "exit")
+        assert code == 3 and "oracle" in err
+        assert out == "" and not out_csv.exists()
+        assert requests == ["PLANE 5 223", "PLANE 5 351"]
 
 
 class TestEnumerate:

@@ -25,7 +25,7 @@ class TestCachedReward:
         r = counting_reward()
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         h = g.permuted([3, 2, 1, 0])
-        assert r(g) == r(h) == 3
+        assert r.values([canonical_code(g), canonical_code(h)]) == [3, 3]
         assert r.misses == 1 and len(r.calls) == 1
 
     def test_value_by_code(self):
@@ -39,7 +39,7 @@ class TestCachedReward:
         seen = []
         r = CachedReward("probe", lambda g: seen.append(g) or 0)
         g = Graph.from_edges(3, [(1, 2), (0, 2)])
-        r(g)
+        r.value(canonical_code(g))
         assert seen[0] == decode_int(canonical_code(g).code, 3)
 
 
@@ -47,14 +47,14 @@ class TestMakeReward:
     def test_nac(self):
         r = make_reward("nac")
         assert r.name == "nac"
-        assert r(Graph.complete(3)) == 0
+        assert r.value(canonical_code(Graph.complete(3))) == 0
 
     def test_nac_guard_is_forwarded(self):
         from rigidsearch.rigidity import GuardError
 
         r = make_reward("nac", nac_guard=3)
         with pytest.raises(GuardError):
-            r(Graph.complete(4))
+            r.value(canonical_code(Graph.complete(4)))
 
     def test_oracle_rewards_need_oracle(self):
         for name in ("plane", "sphere", "mbezout"):
@@ -74,8 +74,8 @@ class TestMakeReward:
     def test_oracle_reward_round_trip(self):
         with OracleClient(stub_oracle_command(bundled_stub_table())) as client:
             r = make_reward("sphere", client)
-            assert r(Graph.complete(3)) == 2
-            assert r(decode_int(206970129631, 10)) == 1536
+            assert r.value(canonical_code(Graph.complete(3))) == 2
+            assert r.value(canonical_code(decode_int(206970129631, 10))) == 1536
 
 
 class TestTwoStageSelect:
@@ -150,25 +150,25 @@ class TestOpenRewards:
     def test_nac_without_screening_starts_no_worker(self, flags):
         with open_rewards("nac", **flags) as (main, surrogate):
             assert surrogate is None
-            assert main(Graph.complete(3)) == 0
+            assert main.value(canonical_code(Graph.complete(3))) == 0
 
     def test_nac_guard_is_forwarded(self):
         from rigidsearch.rigidity import GuardError
 
         with open_rewards("nac", nac_guard=3) as (main, _):
             with pytest.raises(GuardError):
-                main(Graph.complete(4))
+                main.value(canonical_code(Graph.complete(4)))
 
     def test_oracle_reward_queries_the_table(self):
         with open_rewards("sphere", table=bundled_stub_table()) as (main, surrogate):
             assert surrogate is None
-            assert main(decode_int(206970129631, 10)) == 1536
+            assert main.value(canonical_code(decode_int(206970129631, 10))) == 1536
 
     def test_screening_adds_the_mbezout_surrogate(self):
         with open_rewards("nac", 0.5, table=bundled_stub_table(), procs=2) as (main, surrogate):
             assert main.name == "nac"
             assert surrogate.name == "mbezout"
-            assert surrogate(decode_int(206970129631, 10)) == 1536
+            assert surrogate.value(canonical_code(decode_int(206970129631, 10))) == 1536
 
     @pytest.mark.parametrize("reward,rho_main", [("plane", 1.0), ("nac", 0.5)])
     def test_missing_oracle_is_config_error(self, reward, rho_main):

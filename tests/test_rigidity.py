@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rigidsearch.graphs import Graph, canonical_code, decode_int
+from rigidsearch.rewards import CachedReward
 from rigidsearch.rigidity import (Extension, GuardError,
                                   InvalidExtensionError, ONE, ZERO,
                                   apply_extension, enumerate_extensions,
@@ -167,7 +168,7 @@ class TestExtensionImpact:
     def test_k2_zero_only(self):
         from rigidsearch.nac import count_nac
 
-        res = extension_impact(k2(), count_nac, (ZERO,))
+        res = extension_impact(k2(), CachedReward("nac", count_nac), (ZERO,))
         assert len(res.rows) == 1
         assert res.best_graph == Graph.complete(3)
         assert res.best_value == 0
@@ -176,7 +177,7 @@ class TestExtensionImpact:
         from rigidsearch.nac import count_nac
 
         g = Graph.complete(3)
-        res = extension_impact(g, count_nac)
+        res = extension_impact(g, CachedReward("nac", count_nac))
         seen = {row.code for row in res.rows}
         assert len(seen) == len(res.rows)
         children = {canonical_code(apply_extension(g, e)).code
@@ -187,7 +188,7 @@ class TestExtensionImpact:
         from rigidsearch.nac import count_nac
 
         g = decode_int(list(enumerate_minimally_rigid(6))[0].code, 6)
-        res = extension_impact(g, count_nac)
+        res = extension_impact(g, CachedReward("nac", count_nac))
         codes = [row.code for row in res.rows]
         assert codes == sorted(codes)
         best = max(row.value for row in res.rows)
