@@ -19,20 +19,19 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import yaml  # at import, not in _RunDir, which runs while oracle workers start up
 
+from .common import FLAT_VARIANT, GIN_VARIANT, SCHEDULES, VARIANTS, write_csv
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
 from .nac import NAC_GUARD
 from .oracle import OracleError
-from .policy import (FLAT_VARIANT, GIN_VARIANT, VARIANTS, PolicyParams, action_counts,
-                     action_distribution, adam_step, extend_to_n, flat_output_dim,
-                     init_params, load_params, loss_and_gradients, sample_action,
-                     save_params)
+from .policy import (PolicyParams, action_counts, action_distribution, adam_step,
+                     extend_to_n, flat_output_dim, init_params, load_params,
+                     loss_and_gradients, sample_action, save_params)
 from .rewards import (REWARDS, CachedReward, ConfigError, check_nac_guard, needs_oracle,
                       open_rewards, two_stage_select)
 from .rigidity import Extension, apply_extension, k2
 
-
-SCHEDULES = ("eq5", "constant", "none")
 
 # Calibrated eta0 anchors (see README): largest value on the grid
 # {0.5, 0.8, 1.1, 1.4} whose trained policy (m=1000, 40 generations, seed 0)
@@ -318,14 +317,6 @@ class RunResult:
 KEEP_CHECKPOINTS = 3
 
 
-def write_csv(path: str, header, rows) -> None:
-    """One header row, then the rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 class _RunDir:
     """Writes the run directory: config, generations.csv, best.txt and the
     latest KEEP_CHECKPOINTS checkpoint-<t> files.  It keeps what the
@@ -338,8 +329,6 @@ class _RunDir:
         if not path:
             return
         os.makedirs(path, exist_ok=True)
-        import yaml
-
         with open(os.path.join(path, "config"), "w", encoding="utf-8") as fh:
             yaml.safe_dump(dataclasses.asdict(cfg), fh, sort_keys=True)
         rows = list(csv.reader(self._lines("generations.csv")))[1:]

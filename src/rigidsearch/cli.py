@@ -17,20 +17,20 @@ import typing
 
 # One BLAS thread, set before numpy is imported: a pool gains no wall time on
 # the policy's small matmuls and burns another core.  A user's value wins.
+# Only `search` and `transfer-eval` import numpy and yaml (through `cem`,
+# `policy` and `--config`), inside the functions that need them, so the
+# verification commands start without either.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import yaml
-
-from . import cem
-from .cem import CemConfig, ConfigError
-from .graphs import (Graph, automorphism_count, canonical_code, decode_int,
-                     encode_int, infer_n, structural_report)
+from .common import SCHEDULES, VARIANTS, write_csv
+from .graphs import (Graph, automorphism_count, decode_int, encode_int, infer_n,
+                     structural_report)
+from .graphs import canonical_code  # unused here; perfbench/tracing.py resolves it
 from .nac import NAC_GUARD, count_nac
-from .oracle import (INVARIANTS, OracleDomainError, OracleProtocolError,
+from .oracle import (INVARIANTS, ConfigError, OracleDomainError, OracleProtocolError,
                      OracleTransportError, open_oracle, oracle_query)
-from .policy import VARIANTS, load_params
-from .rewards import check_nac_guard, open_rewards
+from .rewards import REWARDS, check_nac_guard, open_rewards
 from .rigidity import (ONE, ZERO, enumerate_minimally_rigid,
                        enumerate_zero_ext_constructible, extension_impact,
                        is_minimally_rigid, peel_to_core, prop1_lower_bound)
@@ -67,7 +67,7 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file (flags override it)")
-    p.add_argument("--reward", choices=cem.REWARDS)
+    p.add_argument("--reward", choices=REWARDS)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--generations", type=int)
@@ -87,7 +87,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-weights")
     p.add_argument("--out", help="run directory")
     p.add_argument("--target", type=int, help="stop once best reward reaches this")
-    p.add_argument("--schedule", choices=cem.SCHEDULES)
+    p.add_argument("--schedule", choices=SCHEDULES)
     p.add_argument("--nac-guard", type=int)
     p.add_argument("--resume", help="checkpoint file to resume from")
     p.add_argument("--quiet", action="store_true", help="suppress per-generation lines")
@@ -97,6 +97,10 @@ def load_config_file(path: str) -> dict:
     """Flat YAML mapping restricted to the search configuration keys, each
     value of exactly its CemConfig field's type (an int also passes as a
     float, a bool never as an int)."""
+    import yaml
+
+    from .cem import CemConfig
+
     with open(path, encoding="utf-8") as fh:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
@@ -115,8 +119,10 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-def build_config(args) -> CemConfig:
-    """Defaults, then config-file values, then explicit flags."""
+def build_config(args):
+    """The CemConfig of defaults, then config-file values, then explicit flags."""
+    from .cem import CemConfig
+
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
@@ -131,6 +137,8 @@ def build_config(args) -> CemConfig:
 
 
 def cmd_search(args) -> int:
+    from . import cem
+
     cfg = build_config(args)
     log = None
     if not args.quiet:
@@ -199,10 +207,10 @@ def cmd_impact(args) -> int:
                       nac_guard=args.nac_guard) as (reward, _):
         result = extension_impact(g, reward, kinds)
     if args.out:
-        cem.write_csv(args.out, ("n", "code", "kind", "value"),
-                      ((g.n + 1, row.code, row.kind, row.value) for row in result.rows))
+        write_csv(args.out, ("n", "code", "kind", "value"),
+                  ((g.n + 1, row.code, row.kind, row.value) for row in result.rows))
     print(f"children {len(result.rows)}")
-    print(f"best {g.n + 1} {canonical_code(result.best_graph).code} {result.best_value}")
+    print(f"best {result.best_code.n} {result.best_code.code} {result.best_value}")
     return 0
 
 
@@ -211,6 +219,9 @@ def cmd_impact(args) -> int:
 
 
 def cmd_transfer_eval(args) -> int:
+    from . import cem
+    from .policy import load_params
+
     cem.check_deploy(args.n, args.count, args.patience)
     check_nac_guard(args.reward, args.nac_guard, 2 * args.n - 3)
     params = load_params(args.weights)
@@ -219,7 +230,7 @@ def cmd_transfer_eval(args) -> int:
         result = cem.deploy_eval(params, args.n, reward, count=args.count,
                                  seed=args.seed, patience=args.patience)
     if args.hist_out:
-        cem.write_csv(args.hist_out, ("value", "count"), sorted(result.histogram.items()))
+        write_csv(args.hist_out, ("value", "count"), sorted(result.histogram.items()))
         print(f"histogram {args.hist_out}")
     print(f"distinct {result.distinct}")
     print(f"saturated {str(not result.complete).lower()}")
@@ -304,7 +315,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impact", help="evaluate a reward on every extension child")
     p.add_argument("code", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--reward", default="nac", choices=cem.REWARDS)
+    p.add_argument("--reward", default="nac", choices=REWARDS)
     p.add_argument("--kinds", default="both", choices=("zero", "one", "both"))
     p.add_argument("--out", help="write the per-child CSV here")
     p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
@@ -314,7 +325,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer-eval", help="deploy trained weights at another size")
     p.add_argument("weights", help="policy weight file")
     p.add_argument("--n", type=int, required=True, help="target vertex count")
-    p.add_argument("--reward", default="nac", choices=cem.REWARDS)
+    p.add_argument("--reward", default="nac", choices=REWARDS)
     p.add_argument("--count", type=int, default=10000,
                    help="distinct isomorphism classes to collect")
     p.add_argument("--seed", type=int, default=0)

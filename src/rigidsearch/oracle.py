@@ -20,7 +20,6 @@ import sys
 import threading
 from collections import deque
 from contextlib import contextmanager
-from importlib import resources
 
 from .graphs import Graph, encode_int
 from .stub_oracle import load_table
@@ -219,4 +218,6 @@ def open_oracle(command: str | list[str] | None = None, table: str | None = None
 
 def bundled_stub_table() -> str:
     """Path of the answer table shipped with the package."""
+    from importlib import resources  # only here, so importing this module skips it
+
     return str(resources.files("rigidsearch").joinpath("data/stub_table.txt"))

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .common import FLAT_VARIANT, GIN_VARIANT
 from .graphs import Graph, clustering, ldp
 from .rigidity import ONE, Extension, enumerate_slots, slot_is_valid
 
@@ -40,10 +41,6 @@ ADAM_EPS = 1e-8
 FORMAT_VERSION = 1
 
 MAX_RESAMPLE = 32  # invalid draws rejected before sampling the valid mass
-
-GIN_VARIANT = "gin"
-FLAT_VARIANT = "flat-mlp"
-VARIANTS = (GIN_VARIANT, FLAT_VARIANT)
 
 
 @dataclass

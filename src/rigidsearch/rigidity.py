@@ -217,6 +217,7 @@ class ImpactRow:
 @dataclass(frozen=True)
 class ImpactResult:
     best_graph: Graph
+    best_code: CanonicalCode
     best_value: int
     rows: tuple[ImpactRow, ...]
 
@@ -237,6 +238,6 @@ def extension_impact(g: Graph, reward, kinds: tuple[str, ...] = (ZERO, ONE)) -> 
     codes = sorted(children)
     values = dict(zip(codes, reward.values(codes)))
     best = min(values, key=lambda cc: (-values[cc], cc))
-    return ImpactResult(best_graph=children[best][0], best_value=values[best],
+    return ImpactResult(best_graph=children[best][0], best_code=best, best_value=values[best],
                         rows=tuple(ImpactRow(code=cc.code, kind=children[cc][1], value=v)
                                    for cc, v in values.items()))

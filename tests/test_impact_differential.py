@@ -6,7 +6,7 @@ exactly with the nac reward on K2, K3, every class at seven vertices and the
 
 import pytest
 
-from rigidsearch import graphs, rigidity
+from rigidsearch import cli, graphs, rigidity
 from rigidsearch.graphs import Graph, canonical_code, decode_int
 from rigidsearch.nac import count_nac
 from rigidsearch.rewards import CachedReward
@@ -39,9 +39,10 @@ def per_child_impact(g, reward, kinds):
         child, kind = children[cc]
         value = reward.value(canonical_code(child))
         rows.append(ImpactRow(code=cc.code, kind=kind, value=value))
-        if best is None or value > best[1]:
-            best = (child, value)
-    return ImpactResult(best_graph=best[0], best_value=best[1], rows=tuple(rows))
+        if best is None or value > best[2]:
+            best = (child, cc, value)
+    return ImpactResult(best_graph=best[0], best_code=best[1], best_value=best[2],
+                        rows=tuple(rows))
 
 
 def nac_reward():
@@ -53,6 +54,7 @@ def assert_same_impact(g, kinds):
     got = extension_impact(g, nac_reward(), kinds)
     assert got.rows == want.rows
     assert got.best_graph == want.best_graph
+    assert got.best_code == want.best_code == canonical_code(got.best_graph)
     assert got.best_value == want.best_value
 
 
@@ -98,3 +100,18 @@ def test_one_canonical_labeling_per_extension_and_one_batch(monkeypatch):
     assert len(labelings) == len(searches) == len(zero_moves) == 78
     assert len(batches) == 1
     assert [cc.code for cc in batches[0]] == [row.code for row in res.rows]
+
+
+def test_impact_command_labels_each_extension_once(monkeypatch, capsys):
+    """`rigidsearch impact` prints the best child's code from the labeling
+    `extension_impact` already made: 78 labeling searches for 78 zero-moves."""
+    searches = []
+    search = graphs._search
+    monkeypatch.setattr(graphs, "_search", lambda h: searches.append(h) or search(h))
+    code = NAC_RECORDS[13][0]
+    assert cli.main(["impact", str(code), "--n", "13", "--kinds", "zero"]) == 0
+    assert len(searches) == 78
+    lines = capsys.readouterr().out.splitlines()
+    res = extension_impact(decode_int(code, 13), nac_reward(), (ZERO,))
+    assert lines == [f"children {len(res.rows)}",
+                     f"best 14 {res.best_code.code} {res.best_value}"]
