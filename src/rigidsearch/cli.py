@@ -101,8 +101,11 @@ def load_config_file(path: str) -> dict:
 
     from .cem import CemConfig
 
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh) or {}
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: malformed config: {' '.join(str(exc).split())}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     hints = typing.get_type_hints(CemConfig)

@@ -9,6 +9,11 @@ gamma one-hot encodes slot type: invalid, 0-extension, or a 1-extension
 whose triple spans 1, 2 or 3 edges.  Scores of *all* slots, invalid ones
 included, go through one softmax; sampling resamples invalid draws.
 
+Each forward pass builds one boolean adjacency of the state, padded with a
+row and column for the empty apex, and derives every array from it: the GIN
+aggregation matrix, the slot types, the validity mask and the flat-MLP
+ablation's input bits.
+
 Everything runs in float64 numpy with hand-derived gradients, checked in the
 tests against central finite differences.
 """
@@ -23,7 +28,7 @@ import numpy as np
 
 from .common import FLAT_VARIANT, GIN_VARIANT
 from .graphs import Graph, clustering, ldp
-from .rigidity import ONE, Extension, enumerate_slots, slot_is_valid
+from .rigidity import ONE, Extension, enumerate_slots
 
 FEATURE_DIM = 8
 EMBED_DIM = 32
@@ -136,11 +141,13 @@ def build_features(g: Graph, params: PolicyParams) -> np.ndarray:
     return feats
 
 
-def _dense_adj(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
+def _adjacency(g: Graph) -> np.ndarray:
+    """(k+1, k+1) boolean adjacency of g; row and column k stand for the
+    empty apex of a 0-extension and hold no edge."""
+    adj = np.zeros((g.n + 1, g.n + 1), dtype=bool)
     for u, v in g.edges():
-        a[u, v] = a[v, u] = 1.0
-    return a
+        adj[u, v] = adj[v, u] = True
+    return adj
 
 
 def _mlp_forward(t: dict[str, np.ndarray], prefix: str, x: np.ndarray, depth: int):
@@ -173,18 +180,19 @@ def _mlp_backward(t: dict[str, np.ndarray], prefix: str, cache, dout: np.ndarray
     return d
 
 
-def gin_forward(params: PolicyParams, g: Graph):
-    """Vertex embeddings (k, 32) plus the caches backprop needs."""
+def gin_forward(params: PolicyParams, g: Graph, adj: np.ndarray):
+    """Vertex embeddings (k, 32) plus the caches backprop needs; adj is
+    `_adjacency(g)`."""
     t = params.tensors
-    adj = _dense_adj(g)
+    agg = adj[:g.n, :g.n].astype(float)
     h = build_features(g, params)
     layers = []
     for l in range(GIN_LAYERS):
-        s = (1.0 + t[f"gin{l}.eps"]) * h + adj @ h
+        s = (1.0 + t[f"gin{l}.eps"]) * h + agg @ h
         out, mlp = _mlp_forward(t, f"gin{l}", s, 2)
         layers.append((h, mlp))
         h = out
-    return h, {"adj": adj, "layers": layers}
+    return h, {"agg": agg, "layers": layers}
 
 
 @lru_cache(maxsize=None)
@@ -196,31 +204,24 @@ def _slot_arrays(k: int):
     v_idx = np.array([e.pair[0] for e in slots])
     w_idx = np.array([e.pair[1] for e in slots])
     is_one = np.array([e.kind == ONE for e in slots])
-    return slots, a_idx, v_idx, w_idx, is_one
+    return a_idx, v_idx, w_idx, is_one
 
 
-def slot_representation(params: PolicyParams, g: Graph, h: np.ndarray):
-    """(S, 69) slot matrix in the shared slot order, plus scatter metadata."""
-    k = g.n
-    slots, a_idx, v_idx, w_idx, is_one = _slot_arrays(k)
+def slot_representation(h: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """(S, 69) slot matrix in the shared slot order from the vertex
+    embeddings h and the state's `_adjacency`."""
+    a_idx, v_idx, w_idx, is_one = _slot_arrays(len(h))
     hp = np.vstack([h, np.zeros((1, h.shape[1]))])
     phi = hp[a_idx] + hp[v_idx] + hp[w_idx]
     psi = (hp[v_idx] + hp[w_idx]) * is_one[:, None]
-    adj = np.zeros((k + 1, k + 1), dtype=bool)
-    for u, v in g.edges():
-        adj[u, v] = adj[v, u] = True
     e_vw = adj[v_idx, w_idx]
     among = adj[a_idx, v_idx].astype(int) + adj[a_idx, w_idx].astype(int) + e_vw
-    valid = ~is_one | e_vw
-    gamma = np.zeros((len(slots), GAMMA_DIM))
+    gamma = np.zeros((len(a_idx), GAMMA_DIM))
     gamma[:, 0] = is_one & ~e_vw
     gamma[:, 1] = ~is_one
     for j, cnt in enumerate((1, 2, 3)):
         gamma[:, 2 + j] = is_one & e_vw & (among == cnt)
-    rep = np.hstack([phi, psi, gamma])
-    aux = {"a_idx": a_idx, "v_idx": v_idx, "w_idx": w_idx,
-           "is_one": is_one, "valid": valid}
-    return rep, aux
+    return np.hstack([phi, psi, gamma])
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -253,14 +254,8 @@ class ActionDistribution:
 
 
 @lru_cache(maxsize=None)
-def _triangle_positions(n_max: int) -> dict[tuple[int, int], int]:
-    pos = {}
-    i = 0
-    for u in range(n_max):
-        for v in range(u + 1, n_max):
-            pos[(u, v)] = i
-            i += 1
-    return pos
+def _upper_triangle(n_max: int):
+    return np.triu_indices(n_max, 1)
 
 
 @lru_cache(maxsize=None)
@@ -275,12 +270,12 @@ def _flat_present(n_max: int, k: int) -> np.ndarray:
     return np.array([table[e] for e in enumerate_slots(k)])
 
 
-def flat_input_vector(g: Graph, n_max: int) -> np.ndarray:
-    x = np.zeros(flat_input_dim(n_max))
-    pos = _triangle_positions(n_max)
-    for u, v in g.edges():
-        x[pos[(u, v)]] = 1.0
-    return x
+def flat_input_vector(adj: np.ndarray, n_max: int) -> np.ndarray:
+    """The adjacency bits above the diagonal, row by row, of a state's
+    `_adjacency` zero-padded to n_max vertices."""
+    padded = np.zeros((n_max, n_max))
+    padded[:len(adj), :len(adj)] = adj
+    return padded[_upper_triangle(n_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +283,25 @@ def flat_input_vector(g: Graph, n_max: int) -> np.ndarray:
 
 
 def _forward(params: PolicyParams, g: Graph):
-    """Logits of every slot of g, `valid()`, which returns the slots'
-    validity mask, and `backward(dz, grads)`, which accumulates the
-    parameter gradients of d(loss)/d(logits) = dz.  Training never asks
-    for the mask, so the flat variant builds it only on demand.
+    """Logits of every slot of g, the slots' validity mask, and
+    `backward(dz, grads)`, which accumulates the parameter gradients of
+    d(loss)/d(logits) = dz.  A 1-extension slot is valid when its pair is an
+    edge; a 0-extension slot always is.
 
     The flat-MLP ablation is a plain MLP on the zero-padded adjacency bits
     with one logit per slot of the maximal slot list; slots absent at the
     current size carry no probability mass.  It is deliberately not
     permutation equivariant."""
+    k = g.n
+    _check_state_size(params, k)
+    adj = _adjacency(g)
+    a_idx, v_idx, w_idx, is_one = _slot_arrays(k)
+    valid = ~is_one | adj[v_idx, w_idx]
     t = params.tensors
     if params.variant == FLAT_VARIANT:
-        _check_state_size(params, g.n)
-        x = flat_input_vector(g, params.n_max)[None, :]
+        x = flat_input_vector(adj, params.n_max)[None, :]
         full, cache = _mlp_forward(t, "flat", x, 3)
-        present = _flat_present(params.n_max, g.n)
-
-        def valid():
-            return np.array([slot_is_valid(g, e) for e in enumerate_slots(g.n)])
+        present = _flat_present(params.n_max, k)
 
         def backward(dz, grads):
             dfull = np.zeros_like(full)
@@ -314,37 +310,34 @@ def _forward(params: PolicyParams, g: Graph):
 
         return full[0, present], valid, backward
 
-    h, gin_cache = gin_forward(params, g)
-    rep, aux = slot_representation(params, g, h)
-    out, head_cache = _mlp_forward(t, "head", rep, 3)
+    h, gin_cache = gin_forward(params, g, adj)
+    out, head_cache = _mlp_forward(t, "head", slot_representation(h, adj), 3)
 
     def backward(dz, grads):
         drep = _mlp_backward(t, "head", head_cache, dz[:, None], grads)
         # scatter slot-rep gradients back onto vertex embeddings
-        k = g.n
         dphi = drep[:, :EMBED_DIM]
-        dpsi = drep[:, EMBED_DIM:2 * EMBED_DIM] * aux["is_one"][:, None]
+        dpsi = drep[:, EMBED_DIM:2 * EMBED_DIM] * is_one[:, None]
         dhp = np.zeros((k + 1, EMBED_DIM))
-        np.add.at(dhp, aux["a_idx"], dphi)
-        np.add.at(dhp, aux["v_idx"], dphi + dpsi)
-        np.add.at(dhp, aux["w_idx"], dphi + dpsi)
+        np.add.at(dhp, a_idx, dphi)
+        np.add.at(dhp, v_idx, dphi + dpsi)
+        np.add.at(dhp, w_idx, dphi + dpsi)
         dh = dhp[:k]
-        adj = gin_cache["adj"]
         for l in range(GIN_LAYERS - 1, -1, -1):
             h_in, mlp = gin_cache["layers"][l]
             ds = _mlp_backward(t, f"gin{l}", mlp, dh, grads)
             grads[f"gin{l}.eps"] += (ds * h_in).sum()
-            dh = (1.0 + t[f"gin{l}.eps"]) * ds + adj @ ds
+            dh = (1.0 + t[f"gin{l}.eps"]) * ds + gin_cache["agg"] @ ds
         # only the step-embedding columns of the input features are learnable
         grads["step_embed"][k - 2] += dh[:, 5:7].sum(axis=0)
 
-    return out[:, 0], lambda: aux["valid"], backward
+    return out[:, 0], valid, backward
 
 
 def action_distribution(params: PolicyParams, g: Graph) -> ActionDistribution:
     """Softmax over every slot of the current state, invalid ones included."""
     logits, valid, _ = _forward(params, g)
-    return ActionDistribution(g.n, valid(), _softmax(logits), logits)
+    return ActionDistribution(g.n, valid, _softmax(logits), logits)
 
 
 def sample_action(dist: ActionDistribution, rng) -> Extension:
@@ -386,14 +379,10 @@ def _logit_grad_terms(logits: np.ndarray, action_counts: dict[int, int], eta: fl
 
 
 def action_counts(dataset) -> dict[tuple, tuple[Graph, dict[int, int]]]:
-    """Group (state, action) pairs or (state, step, action) triples by state:
-    (n, rows) -> (the state, {slot index: multiplicity}), in first-seen
-    order.  The step of a state is its vertex count."""
+    """Group (state, action) pairs by state: (n, rows) -> (the state,
+    {slot index: multiplicity}), in first-seen order."""
     groups: dict[tuple, tuple[Graph, dict[int, int]]] = {}
-    for item in dataset:
-        g, ext = item[0], item[-1]
-        if len(item) == 3 and item[1] != g.n:
-            raise ValueError(f"step {item[1]} does not match state size {g.n}")
+    for g, ext in dataset:
         key = (g.n, g.rows)
         if key not in groups:
             groups[key] = (g, {})
@@ -407,8 +396,8 @@ def loss_and_gradients(params: PolicyParams, dataset, eta: float):
     """Mean NLL of the taken actions minus eta times the mean full-softmax
     entropy, over all dataset items; returns (loss, grad dict).
 
-    `dataset` is a list of items as `action_counts` takes them, or the
-    mapping it makes of one; each state is processed once with its
+    `dataset` is a list of (state, action) pairs, or the mapping
+    `action_counts` makes of one; each state is processed once with its
     multiplicities."""
     if not dataset:
         raise ValueError("empty training batch")

@@ -1,26 +1,51 @@
-"""Regenerate the golden `--help` files under tests/data/golden/.
+"""Regenerate the golden files under tests/data/golden/.
 
     PYTHONPATH=src python tests/regen_golden.py
 
-argparse wraps help to the terminal width, so every file is made with
-COLUMNS=80.  A golden file changes only with a deliberate change of the
-command line; say so in CHANGES.md when it does.
+The `--help` files pin the command line.  argparse wraps help to the
+terminal width, so every one is made with COLUMNS=80.
+
+The run files pin what a seeded search and a transfer evaluation compute:
+`search --reward nac --n 10 --m 200 --generations 3 --early-stop 0 --seed 0`
+with each policy (`generations.csv` without `seconds`, `best.txt`, `config`
+without `out`, and a SHA-256 of every checkpoint array), then
+`transfer-eval` of the GIN run's last checkpoint (stdout and the histogram
+CSV).  The runs are fresh interpreters with one BLAS thread.  The checkpoint
+digests depend on float64 BLAS results; they were made on x86 with OpenBLAS
+and one thread.
+
+A golden file changes only with a deliberate change of the command line or
+of the behaviour contract; say so in CHANGES.md when it does.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import hashlib
 import io
 import os
+import subprocess
 import sys
+import tempfile
 from unittest import mock
+
+import numpy as np
 
 from rigidsearch import cli
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(TESTS, "data", "golden")
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 COMMANDS = ("search", "verify", "impact", "transfer-eval", "enumerate", "codec")
 HELP_FILES = {f"help-{name}.txt": [name, "--help"] for name in COMMANDS}
 HELP_FILES["help.txt"] = ["--help"]
+
+SEARCH_ARGS = ["search", "--reward", "nac", "--n", "10", "--m", "200", "--generations", "3",
+               "--early-stop", "0", "--seed", "0", "--quiet"]
+POLICIES = ("gin", "flat-mlp")
+TRANSFER_ARGS = ["--n", "11", "--count", "300", "--patience", "200", "--seed", "4"]
+RUN_DIRS = tuple(f"search-{p}" for p in POLICIES) + ("transfer-eval",)
 
 
 def help_text(argv: list[str]) -> str:
@@ -32,12 +57,77 @@ def help_text(argv: list[str]) -> str:
     return buf.getvalue()
 
 
+def _cli(cwd: str, argv: list[str]) -> str:
+    """stdout of `rigidsearch *argv` in a fresh interpreter with one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "rigidsearch.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode != 0:
+        raise RuntimeError(f"rigidsearch {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def _drop_column(text: str, name: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    j = rows[0].index(name)
+    return "".join(",".join(r[:j] + r[j + 1:]) + "\n" for r in rows)
+
+
+def _array_digests(run: str) -> str:
+    """One `file array dtype shape sha256` line per array of every checkpoint."""
+    lines = []
+    for name in sorted(f for f in os.listdir(run) if f.startswith("checkpoint-")):
+        with np.load(os.path.join(run, name)) as data:
+            for key in sorted(data.files):
+                arr = np.ascontiguousarray(data[key])
+                digest = hashlib.sha256(arr.tobytes()).hexdigest()
+                lines.append(f"{name} {key} {arr.dtype} {list(arr.shape)} {digest}\n")
+    return "".join(lines)
+
+
+def run_outputs() -> dict[str, dict[str, str]]:
+    """Golden run directory name -> {file name: contents}."""
+    out: dict[str, dict[str, str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for policy in POLICIES:
+            run = os.path.join(tmp, policy)
+            _cli(tmp, SEARCH_ARGS + ["--policy", policy, "--out", run])
+            config = "".join(line for line in _read(os.path.join(run, "config"))
+                             .splitlines(keepends=True) if not line.startswith("out:"))
+            out[f"search-{policy}"] = {
+                "generations.csv": _drop_column(_read(os.path.join(run, "generations.csv")),
+                                                "seconds"),
+                "best.txt": _read(os.path.join(run, "best.txt")),
+                "config": config,
+                "arrays.sha256": _array_digests(run),
+            }
+        weights = os.path.join(tmp, "gin", "checkpoint-3")
+        stdout = _cli(tmp, ["transfer-eval", weights, *TRANSFER_ARGS, "--hist-out", "hist.csv"])
+        out["transfer-eval"] = {"stdout.txt": stdout,
+                                "hist.csv": _read(os.path.join(tmp, "hist.csv"))}
+    return out
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    print(f"wrote {os.path.relpath(path, GOLDEN)}")
+
+
 def main() -> int:
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in HELP_FILES.items():
-        with open(os.path.join(GOLDEN, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(help_text(argv))
-        print(f"wrote {name}")
+        _write(os.path.join(GOLDEN, name), help_text(argv))
+    for run, files in run_outputs().items():
+        os.makedirs(os.path.join(GOLDEN, run), exist_ok=True)
+        for name, text in files.items():
+            _write(os.path.join(GOLDEN, run, name), text)
     return 0
 
 

@@ -288,6 +288,15 @@ class TestSearchCommand:
         assert load_config_file(str(cfg)) == {
             "rho_main": 1, "eta0": 0.5, "generations": None, "oracle": None}
 
+    @pytest.mark.parametrize("content", [b"n: [unclosed\n", b"n: \xff\xfe10\n"],
+                             ids=["malformed-yaml", "not-utf-8"])
+    def test_unreadable_config_file_is_config_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(content)
+        code, out, err = run_cli(capsys, "search", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "search",
                                "--config", str(tmp_path / "nope.yaml"))

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from rigidsearch import policy
 from rigidsearch.graphs import Graph, decode_int
 from rigidsearch.policy import (EMBED_DIM, FEATURE_DIM, FLAT_VARIANT,
-                                GIN_VARIANT, SLOT_DIM, action_distribution,
+                                GIN_VARIANT, SLOT_DIM, _adjacency, action_distribution,
                                 adam_step, build_features, extend_to_n,
                                 flat_input_dim, flat_input_vector,
                                 flat_output_dim, gin_forward, init_params,
@@ -14,10 +17,10 @@ from rigidsearch.rigidity import (Extension, ONE, ZERO, apply_extension,
                                   slot_is_valid)
 
 
-def rollout_states(n, seed=0, n_max=None):
+def rollout_states(n, seed=0, n_max=None, variant=GIN_VARIANT):
     """A construction path K2 -> G_n, returning the visited states."""
     rng = np.random.default_rng(seed)
-    params = init_params(GIN_VARIANT, n_max or n, seed=seed)
+    params = init_params(variant, n_max or n, seed=seed)
     g = k2()
     states = [g]
     while g.n < n:
@@ -63,12 +66,35 @@ class TestDistribution:
             assert dist.probs.sum() == pytest.approx(1.0)
             assert np.all(dist.probs > 0)
 
-    def test_valid_mask_matches_slots(self):
-        params = init_params(GIN_VARIANT, 5, seed=0)
-        g = apply_extension(k2(), Extension(ZERO, None, (0, 1)))
-        dist = action_distribution(params, g)
-        for slot, valid in zip(dist.slots, dist.valid):
-            assert valid == slot_is_valid(g, slot)
+    @pytest.mark.parametrize("variant", [GIN_VARIANT, FLAT_VARIANT])
+    def test_valid_mask_matches_slots(self, variant):
+        checked = 0
+        for n in (5, 8, 10):
+            for seed in range(3):
+                params, states = rollout_states(n, seed=seed, variant=variant)
+                for g in states[:-1]:
+                    dist = action_distribution(params, g)
+                    assert dist.valid.dtype == bool
+                    assert dist.valid.tolist() == [slot_is_valid(g, s) for s in dist.slots]
+                    checked += 1
+        assert checked == 3 * (3 + 6 + 8)
+
+    @pytest.mark.parametrize("variant", [GIN_VARIANT, FLAT_VARIANT])
+    def test_one_adjacency_per_state(self, variant):
+        params, states = rollout_states(8, seed=1, variant=variant)
+        rng = np.random.default_rng(2)
+        data = [(g, sample_action(action_distribution(params, g), rng)) for g in states[:-1]]
+        data += data[:2]  # repeated states are grouped and scored once
+        with mock.patch.object(policy, "_adjacency", wraps=_adjacency) as spy:
+            action_distribution(params, states[3])
+            assert spy.call_count == 1
+            spy.reset_mock()
+            loss_and_gradients(params, data, 0.5)
+            assert spy.call_count == len(states) - 1
+            spy.reset_mock()
+            with pytest.raises(ValueError):  # out of range: refused before any array
+                action_distribution(params, decode_int(206970129631, 10))
+            assert spy.call_count == 0
 
     def test_entropy_of_full_softmax(self):
         params = init_params(GIN_VARIANT, 5, seed=0)
@@ -156,16 +182,6 @@ class TestLossAndGradients:
         l0, _ = loss_and_gradients(params, data, 0.0)
         l1, _ = loss_and_gradients(params, data, 0.7)
         assert l1 < l0
-
-    def test_triples_accepted_and_validated(self):
-        params = init_params(GIN_VARIANT, 6, seed=6)
-        data = self.dataset(params)
-        triples = [(g, g.n, e) for g, e in data]
-        l_pairs, _ = loss_and_gradients(params, data, 0.3)
-        l_triples, _ = loss_and_gradients(params, triples, 0.3)
-        assert l_pairs == pytest.approx(l_triples)
-        with pytest.raises(ValueError):
-            loss_and_gradients(params, [(data[0][0], 99, data[0][1])], 0.0)
 
     def test_gradient_shapes_cover_all_tensors(self):
         params = init_params(GIN_VARIANT, 6, seed=6)
@@ -262,7 +278,7 @@ class TestPersistence:
 class TestFlatVariant:
     def test_input_encoding(self):
         g = Graph.complete(3)
-        vec = flat_input_vector(g, 6)
+        vec = flat_input_vector(_adjacency(g), 6)
         assert vec.shape == (flat_input_dim(6),)
         assert vec.sum() == 3
 
@@ -303,7 +319,8 @@ class TestFlatVariant:
 class TestGinForward:
     def test_embedding_shape(self):
         params = init_params(GIN_VARIANT, 6, seed=14)
-        h, _ = gin_forward(params, Graph.complete(4))
+        g = Graph.complete(4)
+        h, _ = gin_forward(params, g, _adjacency(g))
         assert h.shape == (4, EMBED_DIM)
 
     def test_slot_dim_constant(self):

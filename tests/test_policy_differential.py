@@ -1,24 +1,82 @@
-"""Differential test: the shared-MLP scoring code against a test-local copy of
-the per-variant forward and gradient code it replaced.  Logits, validity
-masks, losses and every gradient array must be bit-identical."""
+"""Differential test: the scoring code against a test-local copy of the
+per-variant forward and gradient code it replaced, with the per-variant
+inputs of that code: a float adjacency and a slot representation that each
+walk the edges, a flat input vector placed through a pair -> position table,
+and a flat-variant mask checked slot by slot.  Logits, validity masks,
+losses and every gradient array must be bit-identical."""
 
 import numpy as np
 import pytest
 
-from rigidsearch.policy import (EMBED_DIM, FLAT_VARIANT, GIN_LAYERS, GIN_VARIANT,
-                                _dense_adj, _logit_grad_terms, action_distribution,
-                                build_features, flat_input_vector, flat_output_dim,
+from rigidsearch.policy import (EMBED_DIM, FLAT_VARIANT, GAMMA_DIM, GIN_LAYERS,
+                                GIN_VARIANT, _adjacency, _logit_grad_terms,
+                                action_distribution, build_features, flat_input_dim,
+                                flat_input_vector, flat_output_dim, gin_forward,
                                 init_params, loss_and_gradients, sample_action,
                                 slot_representation)
-from rigidsearch.rigidity import ZERO, apply_extension, enumerate_slots, k2
+from rigidsearch.rigidity import ONE, ZERO, apply_extension, enumerate_slots, k2
 
 # --- reference: the forward and gradient code as it was written per variant
+
+
+def ref_dense_adj(g):
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def ref_slot_representation(g, h):
+    """Slot matrix, scatter indices and validity mask, from its own
+    boolean adjacency."""
+    k = g.n
+    slots = enumerate_slots(k)
+    a_idx = np.array([k if e.apex is None else e.apex for e in slots])
+    v_idx = np.array([e.pair[0] for e in slots])
+    w_idx = np.array([e.pair[1] for e in slots])
+    is_one = np.array([e.kind == ONE for e in slots])
+    hp = np.vstack([h, np.zeros((1, h.shape[1]))])
+    phi = hp[a_idx] + hp[v_idx] + hp[w_idx]
+    psi = (hp[v_idx] + hp[w_idx]) * is_one[:, None]
+    adj = np.zeros((k + 1, k + 1), dtype=bool)
+    for u, v in g.edges():
+        adj[u, v] = adj[v, u] = True
+    e_vw = adj[v_idx, w_idx]
+    among = adj[a_idx, v_idx].astype(int) + adj[a_idx, w_idx].astype(int) + e_vw
+    valid = ~is_one | e_vw
+    gamma = np.zeros((len(slots), GAMMA_DIM))
+    gamma[:, 0] = is_one & ~e_vw
+    gamma[:, 1] = ~is_one
+    for j, cnt in enumerate((1, 2, 3)):
+        gamma[:, 2 + j] = is_one & e_vw & (among == cnt)
+    rep = np.hstack([phi, psi, gamma])
+    aux = {"a_idx": a_idx, "v_idx": v_idx, "w_idx": w_idx,
+           "is_one": is_one, "valid": valid}
+    return rep, aux
+
+
+def ref_triangle_positions(n_max):
+    pos = {}
+    i = 0
+    for u in range(n_max):
+        for v in range(u + 1, n_max):
+            pos[(u, v)] = i
+            i += 1
+    return pos
+
+
+def ref_flat_input_vector(g, n_max):
+    x = np.zeros(flat_input_dim(n_max))
+    pos = ref_triangle_positions(n_max)
+    for u, v in g.edges():
+        x[pos[(u, v)]] = 1.0
+    return x
 
 
 def ref_gin_forward(params, g):
     t = params.tensors
     feats = build_features(g, params)
-    adj = _dense_adj(g)
+    adj = ref_dense_adj(g)
     h = feats
     layers = []
     for l in range(GIN_LAYERS):
@@ -49,7 +107,7 @@ def ref_flat_present(n_max, k):
 
 def ref_flat_forward(params, g):
     t = params.tensors
-    x = flat_input_vector(g, params.n_max)
+    x = ref_flat_input_vector(g, params.n_max)
     z1 = x @ t["flat.W1"] + t["flat.b1"]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ t["flat.W2"] + t["flat.b2"]
@@ -67,7 +125,7 @@ def ref_logits_and_valid(params, g):
                           for e in enumerate_slots(g.n)])
         return logits, valid
     h, _ = ref_gin_forward(params, g)
-    rep, aux = slot_representation(params, g, h)
+    rep, aux = ref_slot_representation(g, h)
     logits, _ = ref_head_forward(params, rep)
     return logits, aux["valid"]
 
@@ -75,7 +133,7 @@ def ref_logits_and_valid(params, g):
 def ref_gin_pair_grads(params, g, action_counts, eta, grads):
     t = params.tensors
     h, cache = ref_gin_forward(params, g)
-    rep, aux = slot_representation(params, g, h)
+    rep, aux = ref_slot_representation(g, h)
     logits, hcache = ref_head_forward(params, rep)
     loss, dz, _ = _logit_grad_terms(logits, action_counts, eta)
 
@@ -208,3 +266,16 @@ def test_scoring_matches_reference_bit_for_bit(variant):
             for name in grads:
                 assert np.array_equal(grads[name], ref_grads[name]), name
     assert states == ROLLOUTS * (N - 2)
+
+
+def test_inputs_from_one_adjacency_match_reference():
+    params = perturbed_params(GIN_VARIANT, seed=22)
+    for seed in range(ROLLOUTS):
+        for g, _ in rollout_pairs(params, seed):
+            adj = _adjacency(g)
+            assert np.array_equal(flat_input_vector(adj, N), ref_flat_input_vector(g, N))
+            h, cache = gin_forward(params, g, adj)
+            ref_h, ref_cache = ref_gin_forward(params, g)
+            assert np.array_equal(cache["agg"], ref_cache["adj"])
+            assert np.array_equal(h, ref_h)
+            assert np.array_equal(slot_representation(h, adj), ref_slot_representation(g, h)[0])
