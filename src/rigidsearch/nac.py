@@ -11,7 +11,8 @@ the other color, and conversely.)
 (frontier-based search: Kawahara, Inoue, Iwashita & Minato, IEICE Trans.
 Fundamentals E100-A(9), 2017, on the connectivity-partition DP of Sekine,
 Imai & Tani, ISAAC 1995), so its cost follows the number of distinct frontier
-states, not the number of colorings.
+states, not the number of colorings.  That number grows with the frontier's
+width, so the vertices are placed in a greedy min-frontier order.
 """
 
 from __future__ import annotations
@@ -64,42 +65,82 @@ def is_nac_coloring(g: Graph, red) -> bool:
     return True
 
 
-def _connectivity_first(g: Graph) -> list[int]:
-    """Vertices in placement order: each step places the unplaced vertex with
-    the most placed neighbours, ties going to the higher degree, then to the
-    lower label."""
+def _placement_order(g: Graph) -> list[int]:
+    """Vertices in placement order, chosen to keep the frontier small.
+
+    The frontier is the placed vertices that still have an unplaced
+    neighbour.  Each step places, among the unplaced vertices with a placed
+    neighbour, the one that leaves the fewest frontier vertices, ties going to
+    more placed neighbours, then to the higher degree, then to the higher
+    label.  Only when no unplaced vertex has a placed neighbour (at the start,
+    and at each further component) does it place the unplaced vertex of
+    highest degree, the higher label on ties.  So in a connected graph every
+    vertex after the first has a placed neighbour.  (The higher label wins
+    ties because on canonically labelled graphs, which a search counts, it
+    gives fewer frontier states than the lower one.)
+    """
     n = g.n
-    # one integer per vertex orders by (-placed neighbours, -degree, label):
-    # a placed neighbour takes n * n off, more than v - n * degree spans
-    rank = [v - n * g.degree(v) for v in range(n)]
-    unplaced = list(range(n))
+    rows = g.rows
+    degree = [r.bit_count() for r in rows]
+    left = degree[:]  # unplaced neighbours of each vertex
     order: list[int] = []
+    placed = 0
+    reached = 0  # unplaced vertices with a placed neighbour
+    # placed vertices with one unplaced neighbour, or none: those touch no
+    # unplaced vertex, so they need not leave
+    last = 0
     for _ in range(n):
-        v = min(unplaced, key=rank.__getitem__)
-        unplaced.remove(v)
+        if reached:
+            # placing u drops each placed neighbour whose last unplaced
+            # neighbour it is, and adds u if it keeps an unplaced neighbour
+            best = None
+            m = reached
+            while m:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                r = rows[u]
+                key = ((r & last).bit_count() - (left[u] > 0), (r & placed).bit_count(),
+                       degree[u], u)
+                if best is None or key > best:
+                    best, v = key, u
+        else:
+            v = max((u for u in range(n) if not placed >> u & 1), key=lambda u: (degree[u], u))
         order.append(v)
-        for u in g.neighbors(v):
-            rank[u] -= n * n
+        placed |= 1 << v
+        reached = (reached | rows[v]) & ~placed
+        if left[v] == 1:
+            last |= 1 << v
+        m = rows[v]
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            left[u] -= 1
+            if left[u] == 1 and placed & b:
+                last |= b
     return order
 
 
 def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     """Number of NAC-colorings up to swapping the colors.
 
-    Vertices are placed in `_connectivity_first` order, and placing a vertex
-    colors its edges to earlier vertices.  The frontier is the placed vertices
-    that still have an unplaced neighbour.  A state holds, for each color, the
-    partition of the frontier into components of that color, and the pairs of
-    its classes that an edge of the other color joins, which must never merge.
-    An edge dies if its ends already share a class of the other color, or if
-    it would merge two own-color classes that such a pair forbids.  Once a
-    vertex has no unplaced neighbour it leaves the frontier: a class left
-    without frontier vertices can never grow, so it and its pairs are dropped,
-    and equal states merge by adding their counts.  A state is packed into one
-    int: for each frontier vertex, in placement order, four n-bit vertex masks
-    (its red class, its blue class, and the union of the red and of the blue
-    classes that those may not merge with).  The first edge, between the
-    first two placed vertices, is pinned red, which breaks the swap symmetry.
+    Vertices are placed in `_placement_order`, which keeps the frontier
+    small, and placing a vertex colors its edges to earlier vertices.  The
+    frontier is the placed vertices that still have an unplaced neighbour.  A
+    state holds, for each color, the partition of the frontier into
+    components of that color, and the pairs of its classes that an edge of
+    the other color joins, which must never merge.  An edge dies if its ends
+    already share a class of the other color, or if it would merge two
+    own-color classes that such a pair forbids.  Once a vertex has no
+    unplaced neighbour it leaves the frontier: a class left without frontier
+    vertices can never grow, so it and its pairs are dropped, and equal
+    states merge by adding their counts.  A state is packed into one int: for
+    each frontier vertex, in placement order, four n-bit vertex masks (its red
+    class, its blue class, and the union of the red and of the blue classes
+    that those may not merge with).  The first edge, between the first two
+    placed vertices, is pinned red, which breaks the swap symmetry; the
+    placement order makes them adjacent.
     """
     m = g.edge_count
     if m > max_edges:
@@ -108,7 +149,7 @@ def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
         return 0
     n = g.n
     at = [0] * n
-    for i, v in enumerate(_connectivity_first(g)):
+    for i, v in enumerate(_placement_order(g)):
         at[v] = i
     rows = g.permuted(at).rows  # vertex i is the i-th placed
 

@@ -14,6 +14,7 @@ use.
 
 from __future__ import annotations
 
+import os
 import shlex
 import subprocess
 import sys
@@ -21,8 +22,8 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 
+from . import stub_oracle
 from .graphs import Graph, encode_int
-from .stub_oracle import load_table
 
 INVARIANTS = ("plane", "sphere", "mbezout")
 
@@ -192,8 +193,14 @@ def oracle_query(client, invariant: str, g: Graph) -> int:
 
 
 def stub_oracle_command(table_path: str) -> list[str]:
-    """Command line that serves the given table with the bundled stub."""
-    return [sys.executable, "-m", "rigidsearch.stub_oracle", str(table_path)]
+    """Command line that serves the given table with the bundled stub.
+
+    The stub runs as a script under `-S`: it imports only `sys`, so it needs
+    neither `site` nor rigidsearch on the path, and each start skips the
+    `.pth` hooks that `site` runs.  (`-I` would also drop PYTHONHOME, since
+    it implies `-E`, and `-P` needs Python 3.11.)  `python -m
+    rigidsearch.stub_oracle TABLE` serves a table the same way."""
+    return [sys.executable, "-S", os.path.abspath(stub_oracle.__file__), str(table_path)]
 
 
 @contextmanager
@@ -205,7 +212,7 @@ def open_oracle(command: str | list[str] | None = None, table: str | None = None
     OraclePool for several; every worker is closed when the block exits."""
     if table:
         try:
-            load_table(table)
+            stub_oracle.load_table(table)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"oracle table: {exc}") from exc
         command = stub_oracle_command(table)

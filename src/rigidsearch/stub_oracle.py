@@ -1,7 +1,10 @@
 """Stub oracle process: answers invariant queries from a table file.
 
 Table lines are ``n code invariant value`` separated by whitespace; ``#``
-starts a comment.  Run as ``python -m rigidsearch.stub_oracle TABLE``.
+starts a comment.  Run as ``python -m rigidsearch.stub_oracle TABLE``, or as
+a script, ``python -S <dir>/stub_oracle.py TABLE``, which is how
+`oracle.stub_oracle_command` starts it: this module imports only `sys`, so
+the script needs neither `site` nor rigidsearch on the path.
 """
 
 from __future__ import annotations

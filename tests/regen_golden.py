@@ -10,7 +10,16 @@ The run files pin what a seeded search and a transfer evaluation compute:
 with each policy (`generations.csv` without `seconds`, `best.txt`, `config`
 without `out`, and a SHA-256 of every checkpoint array), then
 `transfer-eval` of the GIN run's last checkpoint (stdout and the histogram
-CSV).  The runs are fresh interpreters with one BLAS thread.  The checkpoint
+CSV).
+
+The certificate files pin what the verification commands print:
+`verify --checks rigid,nac,structure,peel,aut` on every bundled certificate
+(`verify/`), `verify --checks structure,oracle --oracle-table <bundled stub
+table>` on the sphere records (`verify-oracle/`), and `impact` of the
+13-vertex NAC record with `--kinds zero` and `both` and of an n = 10 graph
+(stdout and the `--out` CSV, `impact/`).
+
+The runs are fresh interpreters with one BLAS thread.  The checkpoint
 digests depend on float64 BLAS results; they were made on x86 with OpenBLAS
 and one thread.
 
@@ -33,6 +42,9 @@ from unittest import mock
 import numpy as np
 
 from rigidsearch import cli
+from rigidsearch.oracle import bundled_stub_table
+
+from conftest import NAC_COMPARISON, NAC_RECORDS, SPHERE_RECORDS
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(TESTS, "data", "golden")
@@ -46,6 +58,23 @@ SEARCH_ARGS = ["search", "--reward", "nac", "--n", "10", "--m", "200", "--genera
 POLICIES = ("gin", "flat-mlp")
 TRANSFER_ARGS = ["--n", "11", "--count", "300", "--patience", "200", "--seed", "4"]
 RUN_DIRS = tuple(f"search-{p}" for p in POLICIES) + ("transfer-eval",)
+CERTIFICATE_DIRS = ("verify", "verify-oracle", "impact")
+VERIFY_CHECKS = "rigid,nac,structure,peel,aut"
+IMPACT_RUNS = {  # file stem -> impact arguments
+    "n13-zero": [str(NAC_RECORDS[13][0]), "--n", "13", "--kinds", "zero"],
+    "n13-both": [str(NAC_RECORDS[13][0]), "--n", "13", "--kinds", "both"],
+    "n10": ["206970129631", "--n", "10"],
+}
+
+
+def _certificates() -> dict[str, tuple[int, int]]:
+    """Golden file stem -> (n, code) of every bundled certificate."""
+    certs = {f"{family}-{n}": (n, code)
+             for family, records in (("record", NAC_RECORDS), ("comparison", NAC_COMPARISON))
+             for n, (code, _) in records.items()}
+    certs.update((f"sphere{i}-{n}", (n, code))
+                 for i, (n, code, _) in enumerate(SPHERE_RECORDS, start=1))
+    return certs
 
 
 def help_text(argv: list[str]) -> str:
@@ -114,6 +143,23 @@ def run_outputs() -> dict[str, dict[str, str]]:
     return out
 
 
+def certificate_outputs() -> dict[str, dict[str, str]]:
+    """Golden directory name -> {file name: contents} for `verify` and `impact`."""
+    out: dict[str, dict[str, str]] = {name: {} for name in CERTIFICATE_DIRS}
+    table = bundled_stub_table()
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, (n, code) in _certificates().items():
+            verify = ["verify", str(code), "--n", str(n), "--checks"]
+            out["verify"][f"{stem}.txt"] = _cli(tmp, verify + [VERIFY_CHECKS])
+            if stem.startswith("sphere"):
+                out["verify-oracle"][f"{stem}.txt"] = _cli(
+                    tmp, verify + ["structure,oracle", "--oracle-table", table])
+        for stem, args in IMPACT_RUNS.items():
+            out["impact"][f"{stem}.txt"] = _cli(tmp, ["impact", *args, "--out", "children.csv"])
+            out["impact"][f"{stem}.csv"] = _read(os.path.join(tmp, "children.csv"))
+    return out
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -124,7 +170,7 @@ def main() -> int:
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in HELP_FILES.items():
         _write(os.path.join(GOLDEN, name), help_text(argv))
-    for run, files in run_outputs().items():
+    for run, files in {**run_outputs(), **certificate_outputs()}.items():
         os.makedirs(os.path.join(GOLDEN, run), exist_ok=True)
         for name, text in files.items():
             _write(os.path.join(GOLDEN, run, name), text)

@@ -1,15 +1,28 @@
-"""Seeded `search` runs with both policies and a `transfer-eval` of the GIN
-run's weights, file by file against the committed outputs under
-tests/data/golden/ (see tests/regen_golden.py for the commands)."""
+"""Seeded `search` runs with both policies, a `transfer-eval` of the GIN
+run's weights, and `verify` and `impact` on the bundled certificates, file by
+file against the committed outputs under tests/data/golden/ (see
+tests/regen_golden.py for the commands)."""
 
 import os
 
 import pytest
 
-from regen_golden import GOLDEN, RUN_DIRS, run_outputs
+from regen_golden import CERTIFICATE_DIRS, GOLDEN, RUN_DIRS, certificate_outputs, run_outputs
 
-GOLDEN_FILES = sorted((run, name) for run in RUN_DIRS
-                      for name in os.listdir(os.path.join(GOLDEN, run)))
+
+def _golden_files(dirs):
+    return sorted((d, name) for d in dirs for name in os.listdir(os.path.join(GOLDEN, d)))
+
+
+GOLDEN_FILES = _golden_files(RUN_DIRS)
+CERTIFICATE_FILES = _golden_files(CERTIFICATE_DIRS)
+REGENERATE = ("If the behaviour changed on purpose, regenerate the files with "
+              "`PYTHONPATH=src python tests/regen_golden.py` and say so in CHANGES.md.")
+
+
+def _golden(run: str, name: str) -> str:
+    with open(os.path.join(GOLDEN, run, name), encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 @pytest.fixture(scope="module")
@@ -17,17 +30,29 @@ def outputs():
     return run_outputs()
 
 
-def test_every_output_has_a_golden_file(outputs):
+@pytest.fixture(scope="module")
+def certificates():
+    return certificate_outputs()
+
+
+def test_every_output_has_a_golden_file(outputs, certificates):
     assert sorted((run, name) for run, files in outputs.items() for name in files) == GOLDEN_FILES
+    assert sorted((run, name) for run, files in certificates.items()
+                  for name in files) == CERTIFICATE_FILES
 
 
 @pytest.mark.parametrize("run,name", GOLDEN_FILES, ids=[f"{r}/{n}" for r, n in GOLDEN_FILES])
 def test_run_matches_golden_file(outputs, run, name):
-    with open(os.path.join(GOLDEN, run, name), encoding="utf-8", newline="") as fh:
-        want = fh.read()
-    assert outputs[run][name] == want, (
+    assert outputs[run][name] == _golden(run, name), (
         f"tests/data/golden/{run}/{name} differs from this run. The checkpoint digests and "
         "every value downstream of training depend on float64 BLAS results, and the files "
         "were made on x86 with OpenBLAS and one thread; another BLAS or CPU may differ "
-        "without a fault. If the behaviour changed on purpose, regenerate the files with "
-        "`PYTHONPATH=src python tests/regen_golden.py` and say so in CHANGES.md.")
+        "without a fault. " + REGENERATE)
+
+
+@pytest.mark.parametrize("run,name", CERTIFICATE_FILES,
+                         ids=[f"{r}/{n}" for r, n in CERTIFICATE_FILES])
+def test_certificate_output_matches_golden_file(certificates, run, name):
+    assert certificates[run][name] == _golden(run, name), (
+        f"tests/data/golden/{run}/{name} differs from this run. These outputs use exact "
+        "integer arithmetic only, so they must match on every platform. " + REGENERATE)

@@ -10,7 +10,7 @@ import pytest
 
 from rigidsearch.cem import rollouts
 from rigidsearch.graphs import Graph, canonical_code, decode_int
-from rigidsearch.nac import NAC_GUARD, _connectivity_first, count_nac
+from rigidsearch.nac import NAC_GUARD, _placement_order, count_nac
 from rigidsearch.policy import init_params
 from rigidsearch.rigidity import (GuardError, apply_extension, enumerate_extensions,
                                   enumerate_minimally_rigid)
@@ -50,9 +50,9 @@ def _survivors(edges, i, own, other, own_adj, other_adj):
 
 
 def _placed(g: Graph) -> Graph:
-    """g relabeled so that vertex i is the i-th of `_connectivity_first`."""
+    """g relabeled so that vertex i is the i-th of `_placement_order`."""
     at = [0] * g.n
-    for i, v in enumerate(_connectivity_first(g)):
+    for i, v in enumerate(_placement_order(g)):
         at[v] = i
     return g.permuted(at)
 

@@ -1,11 +1,11 @@
-"""The connectivity-first order `count_nac` places vertices in, and the
-published counts of the n = 16-18 certificates under three labelings."""
+"""The min-frontier order `count_nac` places vertices in, and the published
+counts of the n = 16-18 certificates under three labelings."""
 
 import numpy as np
 import pytest
 
 from rigidsearch.graphs import Graph, canonical_code, decode_int
-from rigidsearch.nac import _connectivity_first, count_nac
+from rigidsearch.nac import _placement_order, count_nac
 from rigidsearch.rigidity import enumerate_minimally_rigid
 
 from conftest import NAC_COMPARISON, NAC_RECORDS
@@ -16,7 +16,7 @@ def test_order_is_a_connected_permutation():
               for n in range(3, 9) for cc in enumerate_minimally_rigid(n)]
     graphs += [decode_int(code, n) for n, (code, _) in NAC_RECORDS.items()]
     for g in graphs:
-        order = _connectivity_first(g)
+        order = _placement_order(g)
         assert sorted(order) == list(range(g.n))
         assert g.is_connected()
         placed = 1 << order[0]
@@ -25,20 +25,30 @@ def test_order_is_a_connected_permutation():
             placed |= 1 << v
 
 
-def tuple_key_order(g: Graph) -> list[int]:
-    """The order's rule as first written: a tuple key per step."""
-    rows = g.rows
+def min_frontier_order(g: Graph) -> list[int]:
+    """The order's rule, recounting the frontier from scratch at each step."""
+    n, rows = g.n, g.rows
     order: list[int] = []
     placed = 0
-    for _ in range(g.n):
-        v = min((v for v in range(g.n) if not placed >> v & 1),
-                key=lambda v: (-(rows[v] & placed).bit_count(), -g.degree(v), v))
+
+    def frontier_after(v: int) -> int:
+        now = placed | 1 << v
+        return sum(1 for u in range(n) if now >> u & 1 and rows[u] & ~now)
+
+    for _ in range(n):
+        unplaced = [v for v in range(n) if not placed >> v & 1]
+        reached = [v for v in unplaced if rows[v] & placed]
+        if reached:
+            v = min(reached, key=lambda v: (frontier_after(v), -(rows[v] & placed).bit_count(),
+                                            -g.degree(v), -v))
+        else:
+            v = min(unplaced, key=lambda v: (-g.degree(v), -v))
         order.append(v)
         placed |= 1 << v
     return order
 
 
-def test_order_matches_the_tuple_key_rule():
+def _order_graphs() -> list[Graph]:
     graphs = [decode_int(cc.code, cc.n)
               for n in range(3, 9) for cc in enumerate_minimally_rigid(n)]
     graphs += [decode_int(code, n)
@@ -49,13 +59,27 @@ def test_order_matches_the_tuple_key_rule():
         density = rng.random()
         graphs.append(Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]))
-    for g in graphs:
-        assert _connectivity_first(g) == tuple_key_order(g), g.edges()
+    return graphs
 
 
-def test_order_of_a_path_breaks_ties_by_degree_then_label():
+def test_order_matches_the_min_frontier_rule():
+    for g in _order_graphs():
+        assert _placement_order(g) == min_frontier_order(g), g.edges()
+
+
+def test_second_vertex_is_a_neighbour_of_the_first():
+    # count_nac pins the edge between the first two placed vertices red
+    for g in _order_graphs():
+        if g.edge_count:
+            order = _placement_order(g)
+            assert g.has_edge(order[0], order[1]), (g.edges(), order)
+
+
+def test_order_of_a_path_starts_inside_and_empties_the_frontier():
+    # 1 and 2 have the highest degree and 2 the higher label; placing 3 then
+    # leaves one frontier vertex (2), placing 1 two (2 and 1)
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert _connectivity_first(g) == [1, 2, 0, 3]
+    assert _placement_order(g) == [2, 3, 1, 0]
 
 
 LARGE = [pytest.param(n, code, count, id=f"{family}-{n}")

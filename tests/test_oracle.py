@@ -1,9 +1,12 @@
 import io
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+from rigidsearch import stub_oracle
 from rigidsearch.graphs import Graph, decode_int
 from rigidsearch.oracle import (OracleClient, OracleDomainError, OraclePool,
                                 OracleProtocolError, OracleTransportError,
@@ -97,6 +100,24 @@ class TestClient:
             oracle_query(c, "plane", Graph.complete(3))
         with pytest.raises(OracleTransportError):
             oracle_query(c, "plane", Graph.complete(3))
+
+
+class TestStubLaunch:
+    def test_stub_needs_neither_site_nor_the_package_path(self, tmp_path, monkeypatch):
+        command = stub_oracle_command(bundled_stub_table())
+        assert command[:2] == [sys.executable, "-S"]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        with OracleClient(command) as client:
+            assert oracle_query(client, "plane", Graph.complete(3)) == 2
+
+    def test_stub_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(stub_oracle.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rigidsearch.stub_oracle", bundled_stub_table()],
+            input="PLANE 3 7\n", capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (proc.returncode, proc.stdout) == (0, "OK 2\n")
 
 
 class TestPool:
