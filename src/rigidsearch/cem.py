@@ -10,7 +10,9 @@ classes dries up.
 from __future__ import annotations
 
 import csv
+import ctypes  # numpy has loaded it already
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -139,6 +141,33 @@ def eta_at(cfg: CemConfig, t: int) -> float:
     if cfg.schedule == "constant":
         return cfg.eta0
     return entropy_coefficient(t, cfg.eta0, cfg.alpha, cfg.beta)
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Tell glibc's allocator, once per process, to keep freed memory.
+
+    glibc hands the top of the heap back to the kernel once 128 KiB lie free
+    there, and each policy forward frees arrays of 70-300 KB that the next
+    one faults back in.  Setting the trim threshold freezes glibc's moving
+    mmap threshold, so that is raised to its cap as well.  Results do not
+    depend on where arrays live.  Without glibc's mallopt this does nothing."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # no handle on the C library
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or not hasattr(libc, "gnu_get_libc_version"):
+        return  # the parameter numbers above are glibc's
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # twice that, as glibc's moving rule keeps it
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +485,7 @@ def _start(cfg: CemConfig, resume_from: str | None) -> RunState:
 def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
     """Full search: loops run_generation until the generation budget, the
     early-stop rule, or the optional target value ends it."""
+    _keep_freed_heap()
     cfg = resolve_config(cfg)
     state = _start(cfg, resume_from)
     with open_rewards(cfg.reward, cfg.rho_main, cfg.oracle, cfg.oracle_table,
@@ -523,6 +553,7 @@ def deploy_eval(params: PolicyParams, n: int, reward: CachedReward,
     are collected, evaluate the reward on each, and report the maximum with
     the value histogram.  Stops early (saturation) after `patience`
     consecutive rollouts produce no new class."""
+    _keep_freed_heap()
     check_deploy(n, count, patience)
     params = _sized(params, n)
     codes: set[CanonicalCode] = set()

@@ -98,18 +98,21 @@ class OracleClient:
 
     map = staticmethod(in_order)
 
+    def _hang_up(self) -> None:
+        """Close the worker's input; a worker exits at its end."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+
     def close(self) -> None:
-        proc = self._proc
-        if proc.poll() is None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        """Hang up, wait up to 5 s for the worker to exit, then kill it."""
+        self._hang_up()
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def __enter__(self) -> "OracleClient":
         return self
@@ -177,6 +180,10 @@ class OraclePool:
         return results
 
     def close(self) -> None:
+        """Hang up on every worker before waiting for any, so they all wind
+        down at once."""
+        for c in self.clients:
+            c._hang_up()
         for c in self.clients:
             c.close()
 

@@ -207,6 +207,33 @@ def _slot_arrays(k: int):
     return a_idx, v_idx, w_idx, is_one
 
 
+@lru_cache(maxsize=None)
+def _gather_plan(k: int) -> np.ndarray:
+    """(k, L) row indices into [0; dphi; dphi + dpsi] (a zero row, then S
+    rows each): per vertex, the zero row, then the slots naming it as apex,
+    as v and as w, each in slot order, padded with the zero row.  A row sums
+    in the order that `np.add.at` over a_idx, v_idx and w_idx adds, so the
+    floats are the same; the padding changes nothing, since a sum that
+    starts at +0.0 is never -0.0."""
+    a_idx, v_idx, w_idx, _ = _slot_arrays(k)
+    s = len(a_idx)
+    rows = [np.concatenate(([0], 1 + np.flatnonzero(a_idx == r),
+                            1 + s + np.flatnonzero(v_idx == r),
+                            1 + s + np.flatnonzero(w_idx == r))) for r in range(k)]
+    plan = np.zeros((k, max(map(len, rows))), dtype=np.intp)
+    for r, row in enumerate(rows):
+        plan[r, :len(row)] = row
+    return plan
+
+
+def _vertex_grads(dphi: np.ndarray, dpsi: np.ndarray, k: int) -> np.ndarray:
+    """d/dh of the k vertex embeddings from the gradients of the slot
+    representation's phi and psi blocks: each slot sends dphi to its apex,
+    v and w, and dpsi to v and w."""
+    src = np.vstack([np.zeros((1, dphi.shape[1])), dphi, dphi + dpsi])
+    return np.add.reduce(src[_gather_plan(k)], axis=1)
+
+
 def slot_representation(h: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """(S, 69) slot matrix in the shared slot order from the vertex
     embeddings h and the state's `_adjacency`."""
@@ -295,7 +322,7 @@ def _forward(params: PolicyParams, g: Graph):
     k = g.n
     _check_state_size(params, k)
     adj = _adjacency(g)
-    a_idx, v_idx, w_idx, is_one = _slot_arrays(k)
+    _, v_idx, w_idx, is_one = _slot_arrays(k)
     valid = ~is_one | adj[v_idx, w_idx]
     t = params.tensors
     if params.variant == FLAT_VARIANT:
@@ -315,14 +342,8 @@ def _forward(params: PolicyParams, g: Graph):
 
     def backward(dz, grads):
         drep = _mlp_backward(t, "head", head_cache, dz[:, None], grads)
-        # scatter slot-rep gradients back onto vertex embeddings
-        dphi = drep[:, :EMBED_DIM]
-        dpsi = drep[:, EMBED_DIM:2 * EMBED_DIM] * is_one[:, None]
-        dhp = np.zeros((k + 1, EMBED_DIM))
-        np.add.at(dhp, a_idx, dphi)
-        np.add.at(dhp, v_idx, dphi + dpsi)
-        np.add.at(dhp, w_idx, dphi + dpsi)
-        dh = dhp[:k]
+        dh = _vertex_grads(drep[:, :EMBED_DIM],
+                           drep[:, EMBED_DIM:2 * EMBED_DIM] * is_one[:, None], k)
         for l in range(GIN_LAYERS - 1, -1, -1):
             h_in, mlp = gin_cache["layers"][l]
             ds = _mlp_backward(t, f"gin{l}", mlp, dh, grads)

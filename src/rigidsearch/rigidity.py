@@ -180,7 +180,9 @@ def prop1_lower_bound(n: int) -> Fraction:
 def peel_to_core(g: Graph, core: Graph) -> tuple[bool, list[int] | None]:
     """Search for a sequence of degree-2 deletions (inverse 0-extensions)
     taking g to a graph isomorphic to core.  Greedy deletion can dead-end,
-    so this backtracks over the deletion order, memoizing failed states.
+    so this backtracks over the deletion order, memoizing failed states by
+    their isomorphism class.  A state is labelled only when that can matter:
+    at the core's size, once some state has failed, and when it fails.
 
     Returns (found, witness); the witness lists deleted vertices by their
     labels in the original graph."""
@@ -190,17 +192,16 @@ def peel_to_core(g: Graph, core: Graph) -> tuple[bool, list[int] | None]:
     dead: set[CanonicalCode] = set()
 
     def descend(h: Graph, names: list[int]) -> list[int] | None:
-        cc = canonical_code(h)
         if h.n == core.n:
-            return [] if cc == core_cc else None
-        if cc in dead:
+            return [] if canonical_code(h) == core_cc else None
+        if dead and canonical_code(h) in dead:
             return None
         for v in range(h.n):
             if h.degree(v) == 2:
                 tail = descend(h.delete_vertex(v), names[:v] + names[v + 1:])
                 if tail is not None:
                     return [names[v]] + tail
-        dead.add(cc)
+        dead.add(canonical_code(h))
         return None
 
     witness = descend(g, list(range(g.n)))

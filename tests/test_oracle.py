@@ -132,6 +132,56 @@ class TestPool:
         finally:
             pool.close()
 
+    def test_close_hangs_up_on_every_worker_before_waiting(self, monkeypatch):
+        from rigidsearch import oracle
+
+        events = []
+
+        class FakeStdin:
+            def __init__(self, i):
+                self.i = i
+
+            def close(self):
+                events.append(("close", self.i))
+
+        class FakeProc:
+            def __init__(self, *args, **kwargs):
+                self.i = len([e for e in events if e[0] == "start"])
+                events.append(("start", self.i))
+                self.stdin = FakeStdin(self.i)
+
+            def wait(self, timeout=None):
+                events.append(("wait", self.i))
+                return 0
+
+        monkeypatch.setattr(oracle.subprocess, "Popen", FakeProc)
+        OraclePool("fake-worker", 3).close()
+        first_wait = events.index(("wait", 0))
+        assert set(events[:first_wait]) == {(e, i) for e in ("start", "close") for i in range(3)}
+        assert [e for e in events if e[0] == "wait"] == [("wait", 0), ("wait", 1), ("wait", 2)]
+
+    def test_close_kills_a_worker_that_does_not_exit(self, monkeypatch):
+        from rigidsearch import oracle
+
+        events = []
+
+        class StuckProc:
+            def __init__(self, *args, **kwargs):
+                self.stdin = io.StringIO()
+
+            def wait(self, timeout=None):
+                events.append(("wait", timeout))
+                if timeout is not None:
+                    raise subprocess.TimeoutExpired("fake-worker", timeout)
+                return -9
+
+            def kill(self):
+                events.append(("kill",))
+
+        monkeypatch.setattr(oracle.subprocess, "Popen", StuckProc)
+        OraclePool("fake-worker", 2).close()
+        assert events == [("wait", 5), ("kill",), ("wait", None)] * 2
+
 
 class TestOpenOracle:
     def test_no_command_yields_none(self):

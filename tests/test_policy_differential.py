@@ -3,13 +3,15 @@ per-variant forward and gradient code it replaced, with the per-variant
 inputs of that code: a float adjacency and a slot representation that each
 walk the edges, a flat input vector placed through a pair -> position table,
 and a flat-variant mask checked slot by slot.  Logits, validity masks,
-losses and every gradient array must be bit-identical."""
+losses and every gradient array must be bit-identical.  The backward pass's
+gather of slot gradients onto vertices is also checked on its own against
+the three `np.add.at` scatters it replaced."""
 
 import numpy as np
 import pytest
 
 from rigidsearch.policy import (EMBED_DIM, FLAT_VARIANT, GAMMA_DIM, GIN_LAYERS,
-                                GIN_VARIANT, _adjacency, _logit_grad_terms,
+                                GIN_VARIANT, _adjacency, _logit_grad_terms, _vertex_grads,
                                 action_distribution, build_features, flat_input_dim,
                                 flat_input_vector, flat_output_dim, gin_forward,
                                 init_params, loss_and_gradients, sample_action,
@@ -53,6 +55,20 @@ def ref_slot_representation(g, h):
     aux = {"a_idx": a_idx, "v_idx": v_idx, "w_idx": w_idx,
            "is_one": is_one, "valid": valid}
     return rep, aux
+
+
+def ref_scatter(dphi, dpsi, k):
+    """Vertex gradients by three sequential scatters: each slot's dphi to
+    its apex, then dphi + dpsi to v, then to w; the empty apex is row k."""
+    slots = enumerate_slots(k)
+    a_idx = np.array([k if e.apex is None else e.apex for e in slots])
+    v_idx = np.array([e.pair[0] for e in slots])
+    w_idx = np.array([e.pair[1] for e in slots])
+    dhp = np.zeros((k + 1, dphi.shape[1]))
+    np.add.at(dhp, a_idx, dphi)
+    np.add.at(dhp, v_idx, dphi + dpsi)
+    np.add.at(dhp, w_idx, dphi + dpsi)
+    return dhp[:k]
 
 
 def ref_triangle_positions(n_max):
@@ -279,3 +295,26 @@ def test_inputs_from_one_adjacency_match_reference():
             assert np.array_equal(cache["agg"], ref_cache["adj"])
             assert np.array_equal(h, ref_h)
             assert np.array_equal(slot_representation(h, adj), ref_slot_representation(g, h)[0])
+
+
+def signed_grads(rng, shape):
+    """Signed values from 1e-8 to 1e3 in magnitude, a tenth of them zeros
+    of either sign."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 3, shape)
+    zero = rng.random(shape) < 0.1
+    x[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return x
+
+
+@pytest.mark.parametrize("k", [*range(2, 10), 12, 15, 17])
+def test_vertex_grads_match_add_at_scatter_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    is_one = np.array([e.kind == ONE for e in enumerate_slots(k)])
+    shape = (len(is_one), EMBED_DIM)
+    for case in range(200 if k < 10 else 3):
+        dphi = signed_grads(rng, shape)
+        # psi is zeroed for 0-extension slots, and in some cases cancels phi
+        dpsi = (-dphi if case % 4 == 3 else signed_grads(rng, shape)) * is_one[:, None]
+        got, want = _vertex_grads(dphi, dpsi, k), ref_scatter(dphi, dpsi, k)
+        assert got.shape == want.shape == (k, EMBED_DIM)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, case)
