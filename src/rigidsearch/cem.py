@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml  # at import, not in _RunDir, which runs while oracle workers start up
 
-from .common import FLAT_VARIANT, GIN_VARIANT, SCHEDULES, VARIANTS, write_csv
+from .common import FLAT_VARIANT, GIN_VARIANT, VARIANTS, write_csv
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
 from .nac import NAC_GUARD
 from .oracle import OracleError
@@ -83,7 +83,6 @@ class CemConfig:
     init_weights: str | None = None
     out: str | None = None
     target: int | None = None           # optional: stop once best >= target
-    schedule: str = "eq5"
     nac_guard: int = NAC_GUARD
 
 
@@ -111,14 +110,13 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
         raise ConfigError("need 0 < rho_main <= 1")
     if out.generations < 1:
         raise ConfigError("need generations >= 1")
-    if out.epochs < 0 or out.lr <= 0 or out.eta0 < 0:
-        raise ConfigError("epochs, lr, eta0 out of range")
+    # alpha < 0 would lift eta above eta0 and then turn it negative
+    if out.epochs < 0 or out.lr <= 0 or out.eta0 < 0 or out.alpha < 0:
+        raise ConfigError("epochs, lr, eta0, alpha out of range")
     if out.early_stop < 0:
         raise ConfigError("early_stop must be >= 0")
     if out.policy not in VARIANTS:
         raise ConfigError(f"unknown policy {out.policy!r}")
-    if out.schedule not in SCHEDULES:
-        raise ConfigError(f"unknown schedule {out.schedule!r}")
     if out.oracle and out.oracle_table:
         raise ConfigError("give either --oracle or --oracle-table, not both")
     if out.oracle_procs < 1:
@@ -129,18 +127,10 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
 
 
 def entropy_coefficient(t: int, eta0: float, alpha: float, beta: float) -> float:
-    """Eq.-style decay: eta0 / (1 + alpha * ln(1 + t * exp(-beta)))."""
+    """Eq. 5: eta0 / (1 + alpha * ln(1 + t * exp(-beta)))."""
     if t < 1:
         raise ValueError(f"generations are 1-based, got t={t}")
     return eta0 / (1.0 + alpha * math.log(1.0 + t * math.exp(-beta)))
-
-
-def eta_at(cfg: CemConfig, t: int) -> float:
-    if cfg.schedule == "none":
-        return 0.0
-    if cfg.schedule == "constant":
-        return cfg.eta0
-    return entropy_coefficient(t, cfg.eta0, cfg.alpha, cfg.beta)
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -305,7 +295,7 @@ def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
     elif top_val == state.best_value and codes[top_i] < state.best_code:
         state.best_code = codes[top_i]
 
-    eta = eta_at(cfg, t)
+    eta = entropy_coefficient(t, cfg.eta0, cfg.alpha, cfg.beta)
     dataset = [pair for i, _ in elites for pair in population[i].pairs]
     if dataset and cfg.epochs > 0:
         train_rng = np.random.default_rng((cfg.seed, t, _TRAIN_STREAM))
@@ -598,19 +588,20 @@ def regeneration_frequency(params: PolicyParams, n: int, reward: CachedReward,
 def schedule_study(cfg: CemConfig, schedules: list[str], seeds: list[int],
                    out_csv: str | None = None) -> list[tuple[str, int, int, int]]:
     """Run the search once per (schedule, seed) and collect best-vs-generation
-    curves.  Schedule specs: 'eq5', 'none', or 'constant:<eta>'.  Returns
+    curves.  Schedule specs, each a setting of Eq. 5: 'eq5' (cfg as given),
+    'none' (eta0 = 0) or 'constant:<eta>' (eta0 = eta, alpha = 0).  Returns
     rows (schedule, seed, generation, best); optionally writes them as CSV.
     """
     rows: list[tuple[str, int, int, int]] = []
     for spec in schedules:
         if spec == "eq5" or spec == "none":
-            kind, eta0 = spec, cfg.eta0
+            overrides = {"eta0": 0.0} if spec == "none" else {}
         elif spec.startswith("constant:"):
-            kind, eta0 = "constant", float(spec.split(":", 1)[1])
+            overrides = {"eta0": float(spec.split(":", 1)[1]), "alpha": 0.0}
         else:
             raise ConfigError(f"unknown schedule spec {spec!r}")
         for seed in seeds:
-            sub = dataclasses.replace(cfg, schedule=kind, eta0=eta0, seed=seed, out=None)
+            sub = dataclasses.replace(cfg, **overrides, seed=seed, out=None)
             result = run(sub)
             rows.extend((spec, seed, s.t, s.best) for s in result.stats)
     if out_csv:

@@ -23,7 +23,7 @@ import typing
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .common import SCHEDULES, VARIANTS, write_csv
+from .common import VARIANTS, write_csv
 from .graphs import (Graph, automorphism_count, decode_int, encode_int, infer_n,
                      structural_report)
 from .graphs import canonical_code  # unused here; perfbench/tracing.py resolves it
@@ -87,7 +87,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-weights")
     p.add_argument("--out", help="run directory")
     p.add_argument("--target", type=int, help="stop once best reward reaches this")
-    p.add_argument("--schedule", choices=SCHEDULES)
     p.add_argument("--nac-guard", type=int)
     p.add_argument("--resume", help="checkpoint file to resume from")
     p.add_argument("--quiet", action="store_true", help="suppress per-generation lines")

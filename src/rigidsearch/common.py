@@ -1,7 +1,7 @@
 """What the search and the verification commands share without numpy: the
-policy variants and entropy schedules the command line offers as choices,
-and the CSV writer.  `verify`, `impact`, `codec` and `enumerate` import only
-numpy-free modules, so they start without loading numpy."""
+policy variants the command line offers as choices, and the CSV writer.
+`verify`, `impact`, `codec` and `enumerate` import only numpy-free modules,
+so they start without loading numpy."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ import csv
 GIN_VARIANT = "gin"
 FLAT_VARIANT = "flat-mlp"
 VARIANTS = (GIN_VARIANT, FLAT_VARIANT)
-
-SCHEDULES = ("eq5", "constant", "none")
 
 
 def write_csv(path: str, header, rows) -> None:

@@ -15,10 +15,12 @@ use.
 from __future__ import annotations
 
 import os
+import selectors
 import shlex
 import subprocess
 import sys
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 
@@ -26,6 +28,7 @@ from . import stub_oracle
 from .graphs import Graph, encode_int
 
 INVARIANTS = ("plane", "sphere", "mbezout")
+CLOSE_TIMEOUT_S = 5.0  # a worker still running this long after its hang-up is killed
 
 
 class ConfigError(ValueError):
@@ -106,10 +109,18 @@ class OracleClient:
             pass
 
     def close(self) -> None:
-        """Hang up, wait up to 5 s for the worker to exit, then kill it."""
+        """Hang up, wait up to CLOSE_TIMEOUT_S for the worker to exit, then
+        kill it.  The wait watches for the end of the worker's output, which
+        comes as it exits; `Popen.wait(timeout)` polls and would see it late."""
         self._hang_up()
+        deadline = time.monotonic() + CLOSE_TIMEOUT_S
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._proc.stdout, selectors.EVENT_READ)
+            while (left := deadline - time.monotonic()) > 0 and sel.select(left):
+                if not os.read(self._proc.stdout.fileno(), 1 << 16):  # drops late output
+                    break
         try:
-            self._proc.wait(timeout=5)
+            self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()

@@ -12,6 +12,23 @@ without `out`, and a SHA-256 of every checkpoint array), then
 `transfer-eval` of the GIN run's last checkpoint (stdout and the histogram
 CSV).
 
+Two entropy settings pin that Eq. 5 alone covers the paper's ablations:
+`search --reward nac --n 9 --m 150 --generations 3 --early-stop 0 --seed 3`
+with each policy, once with `--alpha 0 --eta0 0.5` (eta held at 0.5,
+`search-eta-constant*/`) and once with `--eta0 0` (no entropy term,
+`search-eta-off*/`).  These files were made by the former `--schedule
+constant --eta0 0.5` and `--schedule none`, so they show that the two
+settings compute what those schedules did, float for float.  They hold
+`generations.csv` without `seconds`, `best.txt` and the array digests; the
+`config` files of the two forms differ.
+
+`search-oracle/` pins an oracle-screened search: `search --reward sphere
+--n 8 --m 100 --generations 3 --early-stop 0 --rho-main 0.256 --seed 1`
+against a test-local worker whose answers are a fixed function of the
+graph code, with `config` also without its `oracle` and `oracle_procs`
+lines.  The files are made with one worker; tests/test_golden_runs.py checks
+that two workers give the same files.
+
 The certificate files pin what the verification commands print:
 `verify --checks rigid,nac,structure,peel,aut` on every bundled certificate
 (`verify/`), `verify --checks structure,oracle --oracle-table <bundled stub
@@ -34,6 +51,7 @@ import csv
 import hashlib
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -57,7 +75,27 @@ SEARCH_ARGS = ["search", "--reward", "nac", "--n", "10", "--m", "200", "--genera
                "--early-stop", "0", "--seed", "0", "--quiet"]
 POLICIES = ("gin", "flat-mlp")
 TRANSFER_ARGS = ["--n", "11", "--count", "300", "--patience", "200", "--seed", "4"]
-RUN_DIRS = tuple(f"search-{p}" for p in POLICIES) + ("transfer-eval",)
+ETA_ARGS = ["search", "--reward", "nac", "--n", "9", "--m", "150", "--generations", "3",
+            "--early-stop", "0", "--seed", "3", "--quiet"]
+ETA_RUNS = {  # golden directory stem -> entropy flags
+    "search-eta-constant": ["--alpha", "0", "--eta0", "0.5"],
+    "search-eta-off": ["--eta0", "0"],
+}
+ORACLE_ARGS = ["search", "--reward", "sphere", "--n", "8", "--m", "100", "--generations", "3",
+               "--early-stop", "0", "--rho-main", "0.256", "--seed", "1", "--quiet"]
+# Answers a fixed function of the code, so every graph has an answer.  The
+# surrogate (MBEZOUT) takes seven values only, so screening meets ties, and
+# its tie-break decides which graphs reach the main reward.
+ORACLE_WORKER = """\
+import sys
+for line in sys.stdin:
+    invariant, n, code = line.split()
+    value = 2 + int(code) % 97 if invariant == "SPHERE" else 200 - int(code) % 7
+    print("OK", value, flush=True)
+"""
+ORACLE_DIR = "search-oracle"
+RUN_DIRS = (tuple(f"search-{p}" for p in POLICIES) + ("transfer-eval", ORACLE_DIR)
+            + tuple(stem if p == "gin" else f"{stem}-{p}" for stem in ETA_RUNS for p in POLICIES))
 CERTIFICATE_DIRS = ("verify", "verify-oracle", "impact")
 VERIFY_CHECKS = "rigid,nac,structure,peel,aut"
 IMPACT_RUNS = {  # file stem -> impact arguments
@@ -120,26 +158,52 @@ def _array_digests(run: str) -> str:
     return "".join(lines)
 
 
+def _search(cwd: str, run: str, argv: list[str], config_drop=None) -> dict[str, str]:
+    """Run `rigidsearch *argv --out run` and return its `generations.csv`
+    without `seconds`, `best.txt`, the array digests and, unless
+    `config_drop` is None, `config` without the keys it names."""
+    _cli(cwd, argv + ["--out", run])
+    files = {
+        "generations.csv": _drop_column(_read(os.path.join(run, "generations.csv")), "seconds"),
+        "best.txt": _read(os.path.join(run, "best.txt")),
+        "arrays.sha256": _array_digests(run),
+    }
+    if config_drop is not None:
+        files["config"] = "".join(line for line in _read(os.path.join(run, "config"))
+                                  .splitlines(keepends=True)
+                                  if line.split(":", 1)[0] not in config_drop)
+    return files
+
+
+def oracle_search_outputs(procs: int) -> dict[str, str]:
+    """{file name: contents} of the oracle-screened search with `procs` workers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        worker = os.path.join(tmp, "worker.py")
+        with open(worker, "w", encoding="utf-8") as fh:
+            fh.write(ORACLE_WORKER)
+        oracle = shlex.join([sys.executable, worker])
+        return _search(tmp, os.path.join(tmp, "run"),
+                       ORACLE_ARGS + ["--oracle", oracle, "--oracle-procs", str(procs)],
+                       config_drop=("out", "oracle", "oracle_procs"))
+
+
 def run_outputs() -> dict[str, dict[str, str]]:
     """Golden run directory name -> {file name: contents}."""
     out: dict[str, dict[str, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for policy in POLICIES:
-            run = os.path.join(tmp, policy)
-            _cli(tmp, SEARCH_ARGS + ["--policy", policy, "--out", run])
-            config = "".join(line for line in _read(os.path.join(run, "config"))
-                             .splitlines(keepends=True) if not line.startswith("out:"))
-            out[f"search-{policy}"] = {
-                "generations.csv": _drop_column(_read(os.path.join(run, "generations.csv")),
-                                                "seconds"),
-                "best.txt": _read(os.path.join(run, "best.txt")),
-                "config": config,
-                "arrays.sha256": _array_digests(run),
-            }
+            out[f"search-{policy}"] = _search(tmp, os.path.join(tmp, policy),
+                                              SEARCH_ARGS + ["--policy", policy],
+                                              config_drop=("out",))
+            for stem, flags in ETA_RUNS.items():
+                name = stem if policy == "gin" else f"{stem}-{policy}"
+                out[name] = _search(tmp, os.path.join(tmp, name),
+                                    ETA_ARGS + flags + ["--policy", policy])
         weights = os.path.join(tmp, "gin", "checkpoint-3")
         stdout = _cli(tmp, ["transfer-eval", weights, *TRANSFER_ARGS, "--hist-out", "hist.csv"])
         out["transfer-eval"] = {"stdout.txt": stdout,
                                 "hist.csv": _read(os.path.join(tmp, "hist.csv"))}
+    out[ORACLE_DIR] = oracle_search_outputs(1)
     return out
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
+import rigidsearch.cem
 from rigidsearch.cem import (CemConfig, ConfigError, DeployResult,
                              GenerationStats, RunState, default_eta0,
                              deploy_eval, early_stop_check,
-                             entropy_coefficient, eta_at, load_checkpoint,
+                             entropy_coefficient, load_checkpoint,
                              regeneration_frequency, resolve_config, rollout,
                              run, run_generation, save_checkpoint,
                              schedule_study)
@@ -82,6 +83,15 @@ class TestConfig:
         # only a NAC reward counts colorings
         resolve_config(CemConfig(reward="sphere", n=10, nac_guard=16, oracle="true"))
 
+    def test_negative_alpha_is_refused(self):
+        # Eq. 5 with alpha < 0 rises above eta0 at t = 1 (9.04 at alpha =
+        # -1000) and turns negative from t = 2, rewarding a collapsed policy.
+        assert resolve_config(CemConfig(alpha=0.0)).alpha == 0.0
+        with pytest.raises(ConfigError, match="alpha"):
+            resolve_config(CemConfig(alpha=-1000.0))
+        with pytest.raises(ConfigError, match="alpha"):
+            resolve_config(CemConfig(alpha=-1e-9))
+
 
 class TestSchedule:
     def test_known_value(self):
@@ -101,12 +111,13 @@ class TestSchedule:
             entropy_coefficient(0, 1, 6, 7)
 
     def test_schedule_variants(self):
-        cfg = resolve_config(quick_cfg(eta0=0.8, schedule="constant"))
-        assert eta_at(cfg, 1) == eta_at(cfg, 100) == 0.8
-        cfg = resolve_config(quick_cfg(eta0=0.8, schedule="none"))
-        assert eta_at(cfg, 3) == 0.0
-        cfg = resolve_config(quick_cfg(eta0=0.8, schedule="eq5"))
-        assert eta_at(cfg, 2) == entropy_coefficient(2, 0.8, 6, 7)
+        # The paper's constant and no-entropy ablations are settings of
+        # Eq. 5, exact to the last bit: alpha = 0 holds eta at eta0, and
+        # eta0 = 0 gives 0.0 (not -0.0) at every t.
+        for t in range(1, 501):
+            assert entropy_coefficient(t, 0.8, 0, 7) == 0.8
+            off = entropy_coefficient(t, 0.0, 6, 7)
+            assert off == 0.0 and math.copysign(1.0, off) == 1.0
 
 
 class TestRollout:
@@ -309,12 +320,28 @@ class TestScheduleStudy:
         out = tmp_path / "study.csv"
         rows = schedule_study(cfg, ["eq5", "none", "constant:0.5"], [0, 1],
                               out_csv=str(out))
-        assert {r[0] for r in rows} == {"eq5", "none", "constant:0.5"}
-        assert {r[1] for r in rows} == {0, 1}
-        assert all(r[3] >= 0 for r in rows)
+        # the rows the eq5, none and constant branches gave before each became
+        # a setting of Eq. 5
+        assert rows == [(spec, seed, t, best) for spec in ("eq5", "none", "constant:0.5")
+                        for seed, best in ((0, 15), (1, 3)) for t in (1, 2)]
         written = list(csv.reader(open(out)))
         assert written[0] == ["schedule", "seed", "generation", "best"]
         assert len(written) == len(rows) + 1
+
+    def test_specs_set_eta(self, monkeypatch):
+        etas = []
+        real_run = rigidsearch.cem.run
+
+        def spy(cfg):
+            result = real_run(cfg)
+            etas.append([s.eta for s in result.stats])
+            return result
+
+        monkeypatch.setattr(rigidsearch.cem, "run", spy)
+        schedule_study(quick_cfg(m=30, generations=2, eta0=0.9),
+                       ["eq5", "none", "constant:0.5"], [0])
+        assert etas == [[entropy_coefficient(t, 0.9, 6, 7) for t in (1, 2)],
+                        [0.0, 0.0], [0.5, 0.5]]
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):

@@ -249,6 +249,14 @@ class TestSearchCommand:
         assert code == 2 and "nac_guard 5" in err
         assert not out_dir.exists()
 
+    def test_negative_alpha_fails_before_the_run(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(capsys, "search", "--reward", "nac", "--n", "6",
+                                 "--m", "20", "--generations", "1", "--alpha", "-1000",
+                                 "--out", str(out_dir))
+        assert code == 2 and out == "" and "alpha" in err
+        assert not out_dir.exists()
+
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("reward: nac\nn: 6\nm: 40\ngenerations: 1\n"
@@ -266,9 +274,10 @@ class TestSearchCommand:
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("rewardz: nac\n")
-        code, _, err = run_cli(capsys, "search", "--config", str(cfg))
-        assert code == 2 and "rewardz" in err
+        for key in ("rewardz", "schedule"):  # the search has no schedule setting
+            cfg.write_text(f"{key}: nac\n")
+            code, _, err = run_cli(capsys, "search", "--config", str(cfg))
+            assert code == 2 and f"unknown config keys: {key}" in err
 
     @pytest.mark.parametrize("line", [
         "n: ten", "n: 10.5", "n: true", "n: null", "m: '40'", "eta0: x",

@@ -1,13 +1,16 @@
-"""Seeded `search` runs with both policies, a `transfer-eval` of the GIN
-run's weights, and `verify` and `impact` on the bundled certificates, file by
-file against the committed outputs under tests/data/golden/ (see
-tests/regen_golden.py for the commands)."""
+"""Seeded `search` runs with both policies (also with eta held constant and
+with no entropy term), an oracle-screened search with one and with two
+workers, a `transfer-eval` of the GIN run's weights, and `verify` and
+`impact` on the bundled certificates, file by file against the committed
+outputs under tests/data/golden/ (see tests/regen_golden.py for the
+commands)."""
 
 import os
 
 import pytest
 
-from regen_golden import CERTIFICATE_DIRS, GOLDEN, RUN_DIRS, certificate_outputs, run_outputs
+from regen_golden import (CERTIFICATE_DIRS, GOLDEN, ORACLE_DIR, RUN_DIRS, certificate_outputs,
+                          oracle_search_outputs, run_outputs)
 
 
 def _golden_files(dirs):
@@ -15,6 +18,7 @@ def _golden_files(dirs):
 
 
 GOLDEN_FILES = _golden_files(RUN_DIRS)
+ORACLE_FILES = sorted(os.listdir(os.path.join(GOLDEN, ORACLE_DIR)))
 CERTIFICATE_FILES = _golden_files(CERTIFICATE_DIRS)
 REGENERATE = ("If the behaviour changed on purpose, regenerate the files with "
               "`PYTHONPATH=src python tests/regen_golden.py` and say so in CHANGES.md.")
@@ -28,6 +32,11 @@ def _golden(run: str, name: str) -> str:
 @pytest.fixture(scope="module")
 def outputs():
     return run_outputs()
+
+
+@pytest.fixture(scope="module")
+def two_oracle_workers():
+    return oracle_search_outputs(2)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +57,14 @@ def test_run_matches_golden_file(outputs, run, name):
         "every value downstream of training depend on float64 BLAS results, and the files "
         "were made on x86 with OpenBLAS and one thread; another BLAS or CPU may differ "
         "without a fault. " + REGENERATE)
+
+
+@pytest.mark.parametrize("name", ORACLE_FILES)
+def test_two_oracle_workers_match_golden_file(two_oracle_workers, name):
+    assert two_oracle_workers[name] == _golden(ORACLE_DIR, name), (
+        f"tests/data/golden/{ORACLE_DIR}/{name} was made with one oracle worker, and the "
+        "same search with two workers differs from it. --oracle-procs must not change "
+        "what a search computes.")
 
 
 @pytest.mark.parametrize("run,name", CERTIFICATE_FILES,

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -138,24 +139,32 @@ class TestPool:
         events = []
 
         class FakeStdin:
-            def __init__(self, i):
-                self.i = i
+            def __init__(self, i, write_end):
+                self.i, self.write_end = i, write_end
 
             def close(self):
                 events.append(("close", self.i))
+                if self.write_end is not None:  # the worker exits: its output ends
+                    os.close(self.write_end)
+                    self.write_end = None
 
         class FakeProc:
             def __init__(self, *args, **kwargs):
                 self.i = len([e for e in events if e[0] == "start"])
                 events.append(("start", self.i))
-                self.stdin = FakeStdin(self.i)
+                read_end, write_end = os.pipe()
+                self.stdout = open(read_end, "rb")
+                self.stdin = FakeStdin(self.i, write_end)
 
             def wait(self, timeout=None):
                 events.append(("wait", self.i))
                 return 0
 
         monkeypatch.setattr(oracle.subprocess, "Popen", FakeProc)
-        OraclePool("fake-worker", 3).close()
+        pool = OraclePool("fake-worker", 3)
+        pool.close()
+        for c in pool.clients:
+            c._proc.stdout.close()
         first_wait = events.index(("wait", 0))
         assert set(events[:first_wait]) == {(e, i) for e in ("start", "close") for i in range(3)}
         assert [e for e in events if e[0] == "wait"] == [("wait", 0), ("wait", 1), ("wait", 2)]
@@ -164,10 +173,14 @@ class TestPool:
         from rigidsearch import oracle
 
         events = []
+        write_ends = []
 
-        class StuckProc:
+        class StuckProc:  # never ends its output, never exits
             def __init__(self, *args, **kwargs):
+                read_end, write_end = os.pipe()
+                write_ends.append(write_end)
                 self.stdin = io.StringIO()
+                self.stdout = open(read_end, "rb")
 
             def wait(self, timeout=None):
                 events.append(("wait", timeout))
@@ -179,8 +192,37 @@ class TestPool:
                 events.append(("kill",))
 
         monkeypatch.setattr(oracle.subprocess, "Popen", StuckProc)
-        OraclePool("fake-worker", 2).close()
-        assert events == [("wait", 5), ("kill",), ("wait", None)] * 2
+        monkeypatch.setattr(oracle, "CLOSE_TIMEOUT_S", 0.05)
+        pool = OraclePool("fake-worker", 2)
+        pool.close()
+        for c, write_end in zip(pool.clients, write_ends):
+            c._proc.stdout.close()
+            os.close(write_end)
+        # the reap after the output wait gets only what is left of the deadline
+        assert [e[0] for e in events] == ["wait", "kill", "wait"] * 2
+        assert all(timeout < 0.05 for _, timeout in events[::3])
+        assert events[2::3] == [("wait", None)] * 2
+
+
+class TestClose:
+    @pytest.mark.parametrize("prog", [
+        "import sys, time\nsys.stdin.read()\ntime.sleep(60)\n",
+        "import os, sys, time\nos.close(1)\nsys.stdin.read()\ntime.sleep(60)\n",
+    ], ids=["output-open", "output-closed"])
+    def test_a_worker_still_running_at_the_deadline_is_killed(self, monkeypatch, prog):
+        from rigidsearch import oracle
+
+        monkeypatch.setattr(oracle, "CLOSE_TIMEOUT_S", 0.3)
+        client = OracleClient([sys.executable, "-c", prog])
+        client.close()
+        assert client._proc.returncode == -signal.SIGKILL
+
+    def test_output_sent_after_the_hang_up_does_not_block_the_exit(self):
+        # more than a pipe buffer holds: the worker exits only once it is read
+        prog = "import sys\nsys.stdin.read()\nsys.stdout.write('x' * 1000000)\n"
+        client = OracleClient([sys.executable, "-c", prog])
+        client.close()
+        assert client._proc.returncode == 0
 
 
 class TestOpenOracle:
