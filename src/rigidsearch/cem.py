@@ -25,12 +25,11 @@ import yaml  # at import, not in _RunDir, which runs while oracle workers start 
 
 from .common import FLAT_VARIANT, GIN_VARIANT, VARIANTS, write_csv
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
-from .nac import NAC_GUARD
 from .oracle import OracleError
 from .policy import (PolicyParams, action_counts, action_distribution, adam_step,
                      extend_to_n, flat_output_dim, init_params, load_params,
                      loss_and_gradients, sample_action, save_params)
-from .rewards import (REWARDS, CachedReward, ConfigError, check_nac_guard, needs_oracle,
+from .rewards import (REWARDS, CachedReward, ConfigError, check_nac_bound, needs_oracle,
                       open_rewards, two_stage_select)
 from .rigidity import Extension, apply_extension, k2
 
@@ -83,7 +82,6 @@ class CemConfig:
     init_weights: str | None = None
     out: str | None = None
     target: int | None = None           # optional: stop once best >= target
-    nac_guard: int = NAC_GUARD
 
 
 def resolve_config(cfg: CemConfig) -> CemConfig:
@@ -101,7 +99,7 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
         out.eta0 = default_eta0(out.n)
     if out.n < 3:
         raise ConfigError(f"need n >= 3, got {out.n}")
-    check_nac_guard(out.reward, out.nac_guard, 2 * out.n - 3)
+    check_nac_bound(out.reward, 2 * out.n - 3)
     if out.m < 1:
         raise ConfigError(f"need m >= 1, got {out.m}")
     if not 0 < out.rho_surv <= out.rho_elite <= 1:
@@ -111,8 +109,9 @@ def resolve_config(cfg: CemConfig) -> CemConfig:
     if out.generations < 1:
         raise ConfigError("need generations >= 1")
     # alpha < 0 would lift eta above eta0 and then turn it negative
-    if out.epochs < 0 or out.lr <= 0 or out.eta0 < 0 or out.alpha < 0:
-        raise ConfigError("epochs, lr, eta0, alpha out of range")
+    if out.epochs < 0 or out.lr <= 0 or out.eta0 < 0 or out.alpha < 0 \
+            or not all(map(math.isfinite, (out.lr, out.eta0, out.alpha, out.beta))):
+        raise ConfigError("epochs, lr, eta0, alpha, beta out of range")
     if out.early_stop < 0:
         raise ConfigError("early_stop must be >= 0")
     if out.policy not in VARIANTS:
@@ -479,7 +478,7 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
     cfg = resolve_config(cfg)
     state = _start(cfg, resume_from)
     with open_rewards(cfg.reward, cfg.rho_main, cfg.oracle, cfg.oracle_table,
-                      cfg.oracle_procs, cfg.nac_guard) as (main, surrogate):
+                      cfg.oracle_procs) as (main, surrogate):
         rundir = _RunDir(cfg.out, cfg, state.completed if resume_from else -1)
         history: list[GenerationStats] = []
         stopped_early = False

@@ -27,10 +27,10 @@ from .common import VARIANTS, write_csv
 from .graphs import (Graph, automorphism_count, decode_int, encode_int, infer_n,
                      structural_report)
 from .graphs import canonical_code  # unused here; perfbench/tracing.py resolves it
-from .nac import NAC_GUARD, count_nac
+from .nac import count_nac
 from .oracle import (INVARIANTS, ConfigError, OracleDomainError, OracleProtocolError,
                      OracleTransportError, open_oracle, oracle_query)
-from .rewards import REWARDS, check_nac_guard, open_rewards
+from .rewards import REWARDS, check_nac_bound, open_rewards
 from .rigidity import (ONE, ZERO, enumerate_minimally_rigid,
                        enumerate_zero_ext_constructible, extension_impact,
                        is_minimally_rigid, peel_to_core, prop1_lower_bound)
@@ -87,7 +87,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-weights")
     p.add_argument("--out", help="run directory")
     p.add_argument("--target", type=int, help="stop once best reward reaches this")
-    p.add_argument("--nac-guard", type=int)
     p.add_argument("--resume", help="checkpoint file to resume from")
     p.add_argument("--quiet", action="store_true", help="suppress per-generation lines")
 
@@ -173,7 +172,7 @@ def cmd_verify(args) -> int:
             if check == "rigid":
                 print(f"minimally_rigid {str(is_minimally_rigid(g)).lower()}")
             elif check == "nac":
-                print(f"nac {count_nac(g, max_edges=args.nac_guard)}")
+                print(f"nac {count_nac(g)}")
             elif check == "structure":
                 rep = structural_report(g)
                 print(f"min_degree {rep.min_degree}")
@@ -204,9 +203,8 @@ def cmd_verify(args) -> int:
 def cmd_impact(args) -> int:
     g = _decode_arg(args.code, args.n)
     kinds = {"zero": (ZERO,), "one": (ONE,), "both": (ZERO, ONE)}[args.kinds]
-    check_nac_guard(args.reward, args.nac_guard, g.edge_count + 2)  # every child's |E|
-    with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,
-                      nac_guard=args.nac_guard) as (reward, _):
+    check_nac_bound(args.reward, g.edge_count + 2)  # every child's |E|
+    with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table) as (reward, _):
         result = extension_impact(g, reward, kinds)
     if args.out:
         write_csv(args.out, ("n", "code", "kind", "value"),
@@ -225,10 +223,9 @@ def cmd_transfer_eval(args) -> int:
     from .policy import load_params
 
     cem.check_deploy(args.n, args.count, args.patience)
-    check_nac_guard(args.reward, args.nac_guard, 2 * args.n - 3)
+    check_nac_bound(args.reward, 2 * args.n - 3)
     params = load_params(args.weights)
-    with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table,
-                      nac_guard=args.nac_guard) as (reward, _):
+    with open_rewards(args.reward, oracle=args.oracle, table=args.oracle_table) as (reward, _):
         result = cem.deploy_eval(params, args.n, reward, count=args.count,
                                  seed=args.seed, patience=args.patience)
     if args.hist_out:
@@ -310,7 +307,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="rigid",
                    help=f"comma list from: {', '.join(VERIFY_CHECKS)}")
     p.add_argument("--core", default="k33", help="target core for the peel check")
-    p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -320,7 +316,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--reward", default="nac", choices=REWARDS)
     p.add_argument("--kinds", default="both", choices=("zero", "one", "both"))
     p.add_argument("--out", help="write the per-child CSV here")
-    p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_impact)
 
@@ -333,7 +328,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patience", type=int, default=5000)
     p.add_argument("--hist-out", help="write the value histogram CSV here")
-    p.add_argument("--nac-guard", type=int, default=NAC_GUARD)
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_transfer_eval)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 from .graphs import Graph
 from .rigidity import GuardError
 
-# Default refusal bound on |E|.  The frontier DP does not need it, but it keeps
-# NAC searches at the sizes the published records cover (n <= 18).
+# The fixed bound on |E| for NAC counting.  The frontier DP does not need it,
+# but it keeps NAC work at the sizes the published records cover (n <= 18).
 NAC_GUARD = 34
 
 
@@ -122,7 +122,7 @@ def _placement_order(g: Graph) -> list[int]:
     return order
 
 
-def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
+def count_nac(g: Graph) -> int:
     """Number of NAC-colorings up to swapping the colors.
 
     Vertices are placed in `_placement_order`, which keeps the frontier
@@ -143,8 +143,8 @@ def count_nac(g: Graph, max_edges: int = NAC_GUARD) -> int:
     placement order makes them adjacent.
     """
     m = g.edge_count
-    if m > max_edges:
-        raise GuardError(f"|E|={m} exceeds guard {max_edges}")
+    if m > NAC_GUARD:
+        raise GuardError(f"NAC counting is limited to |E| <= {NAC_GUARD}, got |E|={m}")
     if m < 2:
         return 0
     n = g.n

@@ -109,11 +109,14 @@ class OracleClient:
             pass
 
     def close(self) -> None:
-        """Hang up, wait up to CLOSE_TIMEOUT_S for the worker to exit, then
-        kill it.  The wait watches for the end of the worker's output, which
-        comes as it exits; `Popen.wait(timeout)` polls and would see it late."""
+        """Hang up, then kill the worker if it still runs CLOSE_TIMEOUT_S later."""
         self._hang_up()
-        deadline = time.monotonic() + CLOSE_TIMEOUT_S
+        self._reap(time.monotonic() + CLOSE_TIMEOUT_S)
+
+    def _reap(self, deadline: float) -> None:
+        """Wait until `deadline` (monotonic) for the worker to exit, then kill
+        it.  The wait watches for the end of the worker's output, which comes
+        as it exits; `Popen.wait(timeout)` polls and would see it late."""
         with selectors.DefaultSelector() as sel:
             sel.register(self._proc.stdout, selectors.EVENT_READ)
             while (left := deadline - time.monotonic()) > 0 and sel.select(left):
@@ -192,11 +195,12 @@ class OraclePool:
 
     def close(self) -> None:
         """Hang up on every worker before waiting for any, so they all wind
-        down at once."""
+        down at once, and kill those still running CLOSE_TIMEOUT_S later."""
         for c in self.clients:
             c._hang_up()
+        deadline = time.monotonic() + CLOSE_TIMEOUT_S
         for c in self.clients:
-            c.close()
+            c._reap(deadline)
 
     def __enter__(self) -> "OraclePool":
         return self

@@ -46,21 +46,21 @@ def needs_oracle(reward: str, rho_main: float = 1.0) -> bool:
     return reward in INVARIANTS or rho_main < 1
 
 
-def check_nac_guard(reward: str, nac_guard: int, edges: int) -> None:
-    """Refuse a nac reward whose guard is below the edge count of every graph it will score."""
-    if reward == "nac" and nac_guard < edges:
-        raise ConfigError(f"nac_guard {nac_guard} is below |E|={edges}")
+def check_nac_bound(reward: str, edges: int) -> None:
+    """Refuse a nac reward for graphs of more than NAC_GUARD edges, before any work."""
+    if reward == "nac" and edges > NAC_GUARD:
+        raise ConfigError(f"NAC counting is limited to |E| <= {NAC_GUARD}, got |E|={edges}")
 
 
 REWARDS = ("nac", *INVARIANTS)
 
 
-def make_reward(name: str, oracle=None, nac_guard: int = NAC_GUARD) -> CachedReward:
+def make_reward(name: str, oracle=None) -> CachedReward:
     """nac counts in process; plane/sphere/mbezout go through the oracle."""
     if needs_oracle(name) and oracle is None:
         raise ConfigError(f"reward {name!r} needs --oracle or --oracle-table")
     if name == "nac":
-        return CachedReward("nac", lambda g: count_nac(g, max_edges=nac_guard))
+        return CachedReward("nac", count_nac)
     if name in INVARIANTS:
         return CachedReward(name, lambda g: oracle_query(oracle, name, g), oracle.map)
     raise ValueError(f"unknown reward {name!r}")
@@ -68,12 +68,12 @@ def make_reward(name: str, oracle=None, nac_guard: int = NAC_GUARD) -> CachedRew
 
 @contextmanager
 def open_rewards(reward: str, rho_main: float = 1.0, oracle: str | None = None,
-                 table: str | None = None, procs: int = 1, nac_guard: int = NAC_GUARD):
+                 table: str | None = None, procs: int = 1):
     """Yield (main, surrogate); oracle workers start only if needs_oracle holds."""
     if not needs_oracle(reward, rho_main):
         oracle = table = None
     with open_oracle(oracle, table, procs) as client:
-        yield (make_reward(reward, client, nac_guard=nac_guard),
+        yield (make_reward(reward, client),
                make_reward("mbezout", client) if rho_main < 1 else None)
 
 

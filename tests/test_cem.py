@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -76,12 +77,20 @@ class TestConfig:
             resolve_config(CemConfig(reward="nac", rho_main=0.5))
 
     def test_nac_guard_must_admit_the_edge_count(self):
-        # every graph at n has 2n - 3 edges
-        assert resolve_config(CemConfig(reward="nac", n=10, nac_guard=17)).nac_guard == 17
-        with pytest.raises(ConfigError, match="nac_guard 16"):
-            resolve_config(CemConfig(reward="nac", n=10, nac_guard=16))
+        # every graph at n has 2n - 3 edges, and NAC counting takes at most 34
+        assert resolve_config(CemConfig(reward="nac", n=18)).n == 18
+        with pytest.raises(ConfigError, match=r"limited to \|E\| <= 34, got \|E\|=35"):
+            resolve_config(CemConfig(reward="nac", n=19))
         # only a NAC reward counts colorings
-        resolve_config(CemConfig(reward="sphere", n=10, nac_guard=16, oracle="true"))
+        assert resolve_config(CemConfig(reward="sphere", n=19, oracle="true")).n == 19
+
+    def test_config_keys_in_the_readme_are_the_fields(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        sentence = text.split("Keys mirror the flags:", 1)[1].split(".", 1)[0]
+        keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", sentence))
+        assert keys == [f.name for f in dataclasses.fields(CemConfig)]
 
     def test_negative_alpha_is_refused(self):
         # Eq. 5 with alpha < 0 rises above eta0 at t = 1 (9.04 at alpha =

@@ -102,6 +102,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "-5")
         assert code == 1
 
+    def test_nac_above_the_bound_exits_1(self, capsys):
+        g = Graph.complete(9).remove_edge(0, 1)  # 35 edges
+        code, out, err = run_cli(capsys, "verify", str(encode_int(g)), "--n", "9",
+                                 "--checks", "nac")
+        assert code == 1 and out == "n 9\nedges 35\n"
+        assert err == "error: NAC counting is limited to |E| <= 34, got |E|=35\n"
+
 
 class TestImpact:
     def test_k2_zero_extension(self, capsys, tmp_path):
@@ -242,11 +249,23 @@ class TestSearchCommand:
         assert code == 2 and "error" in err
 
     def test_nac_guard_below_edge_count_fails_before_the_run(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"  # every graph at n = 19 has 35 edges
+        code, out, err = run_cli(capsys, "search", "--reward", "nac", "--n", "19",
+                                 "--m", "200", "--generations", "1", "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert err == "error: NAC counting is limited to |E| <= 34, got |E|=35\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "nan"), ("--beta", "nan"), ("--lr", "inf"), ("--eta0", "nan"),
+    ])
+    def test_non_finite_float_fails_before_the_run(self, capsys, tmp_path, flag, value):
         out_dir = tmp_path / "run"
-        code, _, err = run_cli(capsys, "search", "--reward", "nac", "--n", "10",
-                               "--m", "200", "--generations", "1", "--nac-guard", "5",
-                               "--out", str(out_dir))
-        assert code == 2 and "nac_guard 5" in err
+        code, out, err = run_cli(capsys, "search", "--reward", "nac", "--n", "6",
+                                 "--m", "20", "--generations", "1", flag, value,
+                                 "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert err == "error: epochs, lr, eta0, alpha, beta out of range\n"
         assert not out_dir.exists()
 
     def test_negative_alpha_fails_before_the_run(self, capsys, tmp_path):
@@ -278,6 +297,12 @@ class TestSearchCommand:
             cfg.write_text(f"{key}: nac\n")
             code, _, err = run_cli(capsys, "search", "--config", str(cfg))
             assert code == 2 and f"unknown config keys: {key}" in err
+
+    def test_removed_nac_guard_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("nac_guard: 34\n")
+        code, _, err = run_cli(capsys, "search", "--config", str(cfg))
+        assert code == 2 and "unknown config keys: nac_guard" in err
 
     @pytest.mark.parametrize("line", [
         "n: ten", "n: 10.5", "n: true", "n: null", "m: '40'", "eta0: x",
@@ -519,51 +544,53 @@ class TestOracleOnlyWhenQueried:
 
 
 class TestGuardsBeforeWork:
-    """An impossible --nac-guard, or an unknown --core for the peel check, is
-    a usage error (2) raised before any rollout, child or output."""
+    """A NAC reward for graphs of more than NAC_GUARD = 34 edges, or an
+    unknown --core for the peel check, is a usage error (2) raised before any
+    rollout, child or output."""
 
     def test_transfer_eval_guard_at_the_edge_count_passes(self, capsys, tmp_path):
-        weights = tmp_path / "w.npz"
+        weights = tmp_path / "w.npz"  # every graph at n = 18 has 33 edges
         save_params(init_params("gin", 5), str(weights))
-        code, out, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
-                               "--count", "2", "--nac-guard", "7")
-        assert code == 0 and grep(out, "distinct") == "2"
+        code, out, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "18",
+                               "--count", "1")
+        assert code == 0 and grep(out, "distinct") == "1"
 
     def test_transfer_eval_guard_below_the_edge_count_exits_2(self, capsys, tmp_path):
         weights = tmp_path / "w.npz"
         save_params(init_params("gin", 5), str(weights))
         hist = tmp_path / "hist.csv"
-        code, out, err = run_cli(capsys, "transfer-eval", str(weights), "--n", "5",
-                                 "--count", "2", "--nac-guard", "6",
-                                 "--hist-out", str(hist))
+        code, out, err = run_cli(capsys, "transfer-eval", str(weights), "--n", "19",
+                                 "--count", "2", "--hist-out", str(hist))
         assert code == 2 and out == "" and not hist.exists()
-        assert "nac_guard 6 is below |E|=7" in err
+        assert err == "error: NAC counting is limited to |E| <= 34, got |E|=35\n"
 
     def test_impact_guard_at_the_child_edge_count_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "impact", "7", "--n", "3", "--nac-guard", "5")
-        assert code == 0 and grep(out, "children") == "1"
+        # a 17-vertex triangle strip, whose children have 33 edges
+        strip = Graph.from_edges(17, [(i, j) for i in range(17) for j in (i + 1, i + 2)
+                                      if j < 17])
+        code, out, _ = run_cli(capsys, "impact", str(encode_int(strip)), "--n", "17",
+                               "--kinds", "zero")
+        assert code == 0 and grep(out, "children") == "72"
 
     def test_impact_guard_below_the_child_edge_count_exits_2(self, capsys, tmp_path):
-        out_csv = tmp_path / "impact.csv"
-        code, out, err = run_cli(capsys, "impact", "7", "--n", "3", "--nac-guard", "4",
-                                 "--out", str(out_csv))
+        out_csv = tmp_path / "impact.csv"  # the 18-vertex record's children have 35 edges
+        code, out, err = run_cli(capsys, "impact", str(NAC_RECORDS[18][0]), "--n", "18",
+                                 "--reward", "nac", "--out", str(out_csv))
         assert code == 2 and out == "" and not out_csv.exists()
-        assert "nac_guard 4 is below |E|=5" in err
+        assert err == "error: NAC counting is limited to |E| <= 34, got |E|=35\n"
 
     def test_oracle_rewards_ignore_the_guard(self, capsys, tmp_path):
-        # the triangle's only child class, and the triangle itself, in a table
-        child = canonical_code(Graph.complete(4).remove_edge(0, 1))
-        table = tmp_path / "table.txt"
-        table.write_text(f"4 {child.code} plane 4\n3 7 sphere 2\n")
-        code, out, _ = run_cli(capsys, "impact", "7", "--n", "3", "--reward", "plane",
-                               "--oracle-table", str(table), "--nac-guard", "0")
-        assert code == 0 and grep(out, "best") == f"4 {child.code} 4"
+        worker = tmp_path / "worker.py"  # scores every graph 1
+        worker.write_text("import sys\nfor line in sys.stdin:\n    print('OK 1', flush=True)\n")
+        oracle = shlex.join([sys.executable, str(worker)])
+        code, out, _ = run_cli(capsys, "impact", str(NAC_RECORDS[18][0]), "--n", "18",
+                               "--reward", "plane", "--kinds", "zero", "--oracle", oracle)
+        assert code == 0 and grep(out, "best").split()[::2] == ["19", "1"]
         weights = tmp_path / "w.npz"
         save_params(init_params("gin", 5), str(weights))
-        code, out, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "3",
-                               "--count", "1", "--reward", "sphere",
-                               "--oracle-table", str(table), "--nac-guard", "0")
-        assert code == 0 and grep(out, "best") == "3 7 2"
+        code, out, _ = run_cli(capsys, "transfer-eval", str(weights), "--n", "19",
+                               "--count", "1", "--reward", "sphere", "--oracle", oracle)
+        assert code == 0 and grep(out, "best").split()[::2] == ["19", "1"]
 
     @pytest.mark.parametrize("flags,message", [
         (["--n", "2"], "need n >= 3, got 2"),

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from rigidsearch.graphs import Graph, decode_int
-from rigidsearch.nac import count_nac, is_nac_coloring
+from rigidsearch.nac import NAC_GUARD, count_nac, is_nac_coloring
 from rigidsearch.rigidity import GuardError, enumerate_minimally_rigid
 
 
@@ -92,10 +92,11 @@ class TestCountNac:
             assert count_nac(g) == 0
 
     def test_guard(self):
-        g = Graph.complete(9)  # 36 edges
-        with pytest.raises(GuardError):
+        assert NAC_GUARD == 34
+        g = Graph.complete(9).remove_edge(0, 1)  # 35 edges
+        assert count_nac(g.remove_edge(2, 3)) == 0
+        with pytest.raises(GuardError, match=r"limited to \|E\| <= 34, got \|E\|=35"):
             count_nac(g)
-        assert count_nac(Graph.complete(3), max_edges=3) == 0
 
 
 class TestNotMinimallyRigid:

@@ -198,8 +198,8 @@ def test_rollout_graphs(n, count):
 
 
 def test_guard_boundary():
-    g = decode_int(NAC_RECORDS[13][0], 13)
+    g = Graph.complete(9).remove_edge(0, 1)  # 35 edges
     for counter in (count_nac, survivors_count, ref_count_nac):
-        assert counter(g, max_edges=g.edge_count) == NAC_RECORDS[13][1]
+        assert counter(g.remove_edge(2, 3)) == 0
         with pytest.raises(GuardError):
-            counter(g, max_edges=g.edge_count - 1)
+            counter(g)

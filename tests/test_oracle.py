@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,17 @@ class TestClose:
         client = OracleClient([sys.executable, "-c", prog])
         client.close()
         assert client._proc.returncode == -signal.SIGKILL
+
+    def test_a_pool_kills_its_workers_at_one_shared_deadline(self, monkeypatch):
+        from rigidsearch import oracle
+
+        monkeypatch.setattr(oracle, "CLOSE_TIMEOUT_S", 1.0)
+        prog = "import sys, time\nsys.stdin.read()\ntime.sleep(60)\n"
+        pool = OraclePool([sys.executable, "-c", prog], 2)
+        start = time.monotonic()
+        pool.close()
+        assert time.monotonic() - start < 1.8  # one deadline per worker takes 2 s
+        assert [c._proc.returncode for c in pool.clients] == [-signal.SIGKILL] * 2
 
     def test_output_sent_after_the_hang_up_does_not_block_the_exit(self):
         # more than a pipe buffer holds: the worker exits only once it is read

@@ -49,12 +49,14 @@ class TestMakeReward:
         assert r.name == "nac"
         assert r.value(canonical_code(Graph.complete(3))) == 0
 
-    def test_nac_guard_is_forwarded(self):
+    def test_nac_refuses_graphs_above_the_bound(self):
         from rigidsearch.rigidity import GuardError
 
-        r = make_reward("nac", nac_guard=3)
+        r = make_reward("nac")
+        g = Graph.complete(9).remove_edge(0, 1)  # 35 edges
+        assert r.value(canonical_code(g.remove_edge(2, 3))) == 0
         with pytest.raises(GuardError):
-            r.value(canonical_code(Graph.complete(4)))
+            r.value(canonical_code(g))
 
     def test_oracle_rewards_need_oracle(self):
         for name in ("plane", "sphere", "mbezout"):
@@ -151,13 +153,6 @@ class TestOpenRewards:
         with open_rewards("nac", **flags) as (main, surrogate):
             assert surrogate is None
             assert main.value(canonical_code(Graph.complete(3))) == 0
-
-    def test_nac_guard_is_forwarded(self):
-        from rigidsearch.rigidity import GuardError
-
-        with open_rewards("nac", nac_guard=3) as (main, _):
-            with pytest.raises(GuardError):
-                main.value(canonical_code(Graph.complete(4)))
 
     def test_oracle_reward_queries_the_table(self):
         with open_rewards("sphere", table=bundled_stub_table()) as (main, surrogate):
