@@ -24,11 +24,11 @@ import numpy as np
 import yaml  # at import, not in _RunDir, which runs while oracle workers start up
 
 from .common import FLAT_VARIANT, GIN_VARIANT, VARIANTS, write_csv
-from .graphs import CanonicalCode, Graph, canonical_code, decode_int
+from .graphs import CanonicalCode, Graph, canonical_code
 from .oracle import OracleError
 from .policy import (PolicyParams, action_counts, action_distribution, adam_step,
                      extend_to_n, flat_output_dim, init_params, load_params,
-                     loss_and_gradients, sample_action, save_params)
+                     loss_and_gradients, open_weights, sample_action, save_params)
 from .rewards import (REWARDS, CachedReward, ConfigError, check_nac_bound, needs_oracle,
                       open_rewards, two_stage_select)
 from .rigidity import Extension, apply_extension, k2
@@ -325,11 +325,9 @@ CSV_COLUMNS = ("t", "best", "cutoff", "new_noniso", "eta_t", "evals", "seconds")
 
 @dataclass
 class RunResult:
-    best_graph: Graph
     best_value: int
     best_code: CanonicalCode
     stats: list[GenerationStats]
-    stopped_early: bool
 
 
 KEEP_CHECKPOINTS = 3
@@ -423,7 +421,7 @@ def save_checkpoint(path: str, state: RunState) -> None:
 
 
 def load_checkpoint(path: str) -> RunState:
-    with np.load(str(path)) as data:
+    with open_weights(path) as data:
         if "run.meta" not in data:
             raise ValueError(f"{path} is not a checkpoint (no run metadata)")
         meta = json.loads(bytes(data["run.meta"].tobytes()).decode())
@@ -481,7 +479,6 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
                       cfg.oracle_procs) as (main, surrogate):
         rundir = _RunDir(cfg.out, cfg, state.completed if resume_from else -1)
         history: list[GenerationStats] = []
-        stopped_early = False
         while state.completed < cfg.generations:
             best_before = (state.best_value, state.best_code)
             try:
@@ -497,16 +494,9 @@ def run(cfg: CemConfig, resume_from: str | None = None, log=None) -> RunResult:
                 log(stats)
             if (cfg.target is not None and state.best_value >= cfg.target) \
                     or (cfg.early_stop and early_stop_check(history, cfg.early_stop)):
-                stopped_early = True
                 break
         assert state.best_code is not None
-        return RunResult(
-            best_graph=decode_int(state.best_code.code, state.best_code.n),
-            best_value=state.best_value,
-            best_code=state.best_code,
-            stats=history,
-            stopped_early=stopped_early,
-        )
+        return RunResult(best_value=state.best_value, best_code=state.best_code, stats=history)
 
 
 # ---------------------------------------------------------------------------

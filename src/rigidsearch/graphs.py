@@ -22,10 +22,6 @@ class Graph:
         self.rows = rows
 
     @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, (0,) * n)
-
-    @classmethod
     def complete(cls, n: int) -> "Graph":
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
@@ -68,12 +64,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         rows = list(self.rows)
@@ -129,10 +119,6 @@ class Graph:
             frontier = nxt & allowed & ~seen
             seen |= frontier
         return seen
-
-    def is_connected(self) -> bool:
-        full = (1 << self.n) - 1
-        return self.reach(1, full) == full
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -353,15 +339,10 @@ def _search(g: Graph) -> tuple[int, list[int], int]:
     return (*best, aut)
 
 
-def canonical_labeling(g: Graph) -> list[int]:
-    """A relabeling v -> perm[v] minimizing encode_int over the leaves of the
-    search tree.  The leaf set is isomorphism invariant, so equal canonical
-    codes characterize isomorphic graphs."""
-    return _search(g)[1]
-
-
 def canonical_code(g: Graph) -> CanonicalCode:
-    """Isomorphism-invariant (n, code): code of the canonically relabeled graph."""
+    """Isomorphism-invariant (n, code): code of the canonically relabeled graph.
+    The search tree's leaf set is isomorphism invariant, so equal canonical
+    codes characterize isomorphic graphs."""
     return CanonicalCode(g.n, _search(g)[0])
 
 
@@ -376,11 +357,8 @@ def automorphism_count(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class StructuralReport:
-    n: int
-    edge_count: int
     min_degree: int
     max_degree: int
-    degree_counts: dict[int, int]
     triangle_free: bool
     every_vertex_in_triangle: bool
     hamiltonian: bool
@@ -477,16 +455,10 @@ def chromatic_number(g: Graph) -> int:
 def structural_report(g: Graph) -> StructuralReport:
     """Degree, triangle, Hamiltonicity and coloring summary of a graph."""
     degs = [g.degree(v) for v in range(g.n)]
-    counts: dict[int, int] = {}
-    for d in degs:
-        counts[d] = counts.get(d, 0) + 1
     tri = [triangles_at(g, v) for v in range(g.n)]
     return StructuralReport(
-        n=g.n,
-        edge_count=g.edge_count,
         min_degree=min(degs) if degs else 0,
         max_degree=max(degs) if degs else 0,
-        degree_counts=counts,
         triangle_free=all(t == 0 for t in tri),
         every_vertex_in_triangle=all(t > 0 for t in tri),
         hamiltonian=is_hamiltonian(g),

@@ -21,6 +21,8 @@ tests against central finite differences.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .common import FLAT_VARIANT, GIN_VARIANT
 from .graphs import Graph, clustering, ldp
+from .oracle import ConfigError
 from .rigidity import ONE, Extension, enumerate_slots
 
 FEATURE_DIM = 8
@@ -472,12 +475,33 @@ def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     if extra:
         arrays.update(extra)
-    with open(path, "wb") as fh:  # np.savez would append .npz to a str path
-        np.savez(fh, **arrays)
+    # written whole under a name `checkpoint-<t>` never matches, then renamed,
+    # so an interrupted write leaves the previous file at `path` as it was
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:  # np.savez would append .npz to a str path
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def open_weights(path) -> np.lib.npyio.NpzFile:
+    """The npz archive of a weight file or checkpoint; ConfigError when the
+    file is not one (truncated, empty or foreign)."""
+    try:
+        data = np.load(str(path))
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable weight file: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: unreadable weight file: not an npz archive")
+    return data
 
 
 def load_params(path) -> PolicyParams:
-    with np.load(str(path)) as data:
+    with open_weights(path) as data:
         if "meta" not in data:
             raise ValueError("weight file has no manifest")
         meta = json.loads(bytes(data["meta"].tobytes()).decode())

@@ -140,6 +140,17 @@ def k2() -> Graph:
     return Graph.complete(2)
 
 
+def _child_classes(g: Graph, kinds: tuple[str, ...]) -> dict[CanonicalCode, str]:
+    """The isomorphism class of each child of g under the given move kinds,
+    each labelled once, mapped to the kind of its first producer in slot
+    order."""
+    classes: dict[CanonicalCode, str] = {}
+    for ext in enumerate_extensions(g):
+        if ext.kind in kinds:
+            classes.setdefault(canonical_code(apply_extension(g, ext)), ext.kind)
+    return classes
+
+
 def enumerate_minimally_rigid(n: int, max_n: int = 10,
                               kinds: tuple[str, ...] = (ZERO, ONE)) -> set[CanonicalCode]:
     """Isomorphism classes on n vertices reachable from K2 by the given move
@@ -152,10 +163,7 @@ def enumerate_minimally_rigid(n: int, max_n: int = 10,
     for k in range(2, n):
         nxt: set[CanonicalCode] = set()
         for cc in level:
-            g = decode_int(cc.code, cc.n)
-            for ext in enumerate_extensions(g):
-                if ext.kind in kinds:
-                    nxt.add(canonical_code(apply_extension(g, ext)))
+            nxt.update(_child_classes(decode_int(cc.code, cc.n), kinds))
         level = nxt
     return level
 
@@ -217,7 +225,6 @@ class ImpactRow:
 
 @dataclass(frozen=True)
 class ImpactResult:
-    best_graph: Graph
     best_code: CanonicalCode
     best_value: int
     rows: tuple[ImpactRow, ...]
@@ -225,20 +232,16 @@ class ImpactResult:
 
 def extension_impact(g: Graph, reward, kinds: tuple[str, ...] = (ZERO, ONE)) -> ImpactResult:
     """Score every child of g under the selected extension kinds, one row per
-    isomorphism class in code order.  Each child is canonicalized once, and a
-    class reachable by several moves keeps the kind of its first producer in
-    slot order.  `reward` must offer `values(codes)`, which scores all the
-    classes in one batch; ties for the best go to the smaller code."""
-    children: dict[CanonicalCode, tuple[Graph, str]] = {}
-    for ext in enumerate_extensions(g):
-        if ext.kind in kinds:
-            child = apply_extension(g, ext)
-            children.setdefault(canonical_code(child), (child, ext.kind))
+    isomorphism class in code order, with the kind of the class's first
+    producer in slot order.  `reward` must offer `values(codes)`, which
+    scores all the classes in one batch; ties for the best go to the smaller
+    code."""
+    children = _child_classes(g, kinds)
     if not children:
         raise ValueError("graph has no children under the selected kinds")
     codes = sorted(children)
     values = dict(zip(codes, reward.values(codes)))
     best = min(values, key=lambda cc: (-values[cc], cc))
-    return ImpactResult(best_graph=children[best][0], best_code=best, best_value=values[best],
-                        rows=tuple(ImpactRow(code=cc.code, kind=children[cc][1], value=v)
+    return ImpactResult(best_code=best, best_value=values[best],
+                        rows=tuple(ImpactRow(code=cc.code, kind=children[cc], value=v)
                                    for cc, v in values.items()))

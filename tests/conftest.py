@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the command line sets it, before anything imports
+# numpy: the tests' matmuls are small, and a pool only burns a second core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from rigidsearch.graphs import Graph

@@ -1,6 +1,6 @@
 """`extension_impact`, which scores every child class in one
 `CachedReward.values` batch, against a test-local copy of the per-child loop
-it replaced (`per_child_impact`).  Rows, best graph and best value must match
+it replaced (`per_child_impact`).  Rows, best code and best value must match
 exactly with the nac reward on K2, K3, every class at seven vertices and the
 13-vertex record, under each selection of extension kinds."""
 
@@ -41,8 +41,7 @@ def per_child_impact(g, reward, kinds):
         rows.append(ImpactRow(code=cc.code, kind=kind, value=value))
         if best is None or value > best[2]:
             best = (child, cc, value)
-    return ImpactResult(best_graph=best[0], best_code=best[1], best_value=best[2],
-                        rows=tuple(rows))
+    return ImpactResult(best_code=best[1], best_value=best[2], rows=tuple(rows))
 
 
 def nac_reward():
@@ -53,8 +52,8 @@ def assert_same_impact(g, kinds):
     want = per_child_impact(g, nac_reward(), kinds)
     got = extension_impact(g, nac_reward(), kinds)
     assert got.rows == want.rows
-    assert got.best_graph == want.best_graph
-    assert got.best_code == want.best_code == canonical_code(got.best_graph)
+    best = got.best_code
+    assert best == want.best_code == canonical_code(decode_int(best.code, best.n))
     assert got.best_value == want.best_value
 
 

@@ -3,8 +3,10 @@ from itertools import combinations
 import pytest
 
 from rigidsearch.graphs import Graph, decode_int
-from rigidsearch.nac import NAC_GUARD, count_nac, is_nac_coloring
+from rigidsearch.nac import NAC_GUARD, count_nac
 from rigidsearch.rigidity import GuardError, enumerate_minimally_rigid
+
+from reference import is_nac_coloring
 
 
 def naive_count(g):

@@ -1,3 +1,5 @@
+import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -253,6 +255,28 @@ class TestPersistence:
         np.savez(str(p), **data)
         with pytest.raises(ValueError):
             load_params(str(p))
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        params = init_params(GIN_VARIANT, 5, seed=9)
+        old, new = tmp_path / "checkpoint-1", tmp_path / "checkpoint-2"
+        save_params(params, str(old))
+        before = old.read_bytes()
+        during = []
+
+        def cut_short(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            during.append(sorted(os.listdir(tmp_path)))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", cut_short)
+        for path in (old, new):
+            with pytest.raises(OSError, match="disk full"):
+                save_params(params, str(path))
+        assert old.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint-1"]
+        # the partial file never carries a name `checkpoint-<t>` matches
+        for names in during:
+            assert [n for n in names if re.fullmatch(r"checkpoint-\d+", n)] == ["checkpoint-1"]
 
     def test_extend_to_n(self):
         params = init_params(GIN_VARIANT, 6, seed=10)

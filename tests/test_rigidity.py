@@ -170,7 +170,7 @@ class TestExtensionImpact:
 
         res = extension_impact(k2(), CachedReward("nac", count_nac), (ZERO,))
         assert len(res.rows) == 1
-        assert res.best_graph == Graph.complete(3)
+        assert res.best_code == canonical_code(Graph.complete(3))
         assert res.best_value == 0
 
     def test_rows_are_deduplicated_classes(self):
@@ -194,7 +194,7 @@ class TestExtensionImpact:
         best = max(row.value for row in res.rows)
         assert res.best_value == best
         best_codes = [row.code for row in res.rows if row.value == best]
-        assert canonical_code(res.best_graph).code == min(best_codes)
+        assert res.best_code.code == min(best_codes)
 
 
 @pytest.mark.slow

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,42 @@ def write_sphere_table(path):
         for cc in sorted(enumerate_minimally_rigid(7))))
 
 
+class TestUnreadableWeights:
+    """A cut, empty or non-npz weight file is a usage error at every entry
+    point that reads one: exit 2, one `error:` line, and nothing written."""
+
+    @pytest.fixture(scope="class")
+    def broken(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("broken")
+        assert main([*NAC, "--n", "6", "--generations", "1", "--out", str(root / "run")]) == 0
+        whole = (root / "run" / "checkpoint-1").read_bytes()
+        assert len(whole) > 5000
+        (root / "cut").write_bytes(whole[:5000])
+        (root / "empty").write_bytes(b"")
+        np.save(root / "array.npy", np.zeros(3))
+        return root
+
+    ENTRY_POINTS = {
+        "transfer-eval": ("transfer-eval", "{w}", "--n", "6", "--count", "5",
+                          "--hist-out", "{out}"),
+        "resume": (*NAC, "--n", "6", "--generations", "2", "--resume", "{w}", "--out", "{out}"),
+        "init-weights": (*NAC, "--n", "6", "--generations", "1", "--init-weights", "{w}",
+                         "--out", "{out}"),
+    }
+
+    @pytest.mark.parametrize("file", ["cut", "empty", "array.npy"])
+    @pytest.mark.parametrize("argv", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, broken, argv, file):
+        weights, out = broken / file, tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *(a.format(w=weights, out=out) for a in argv))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {weights}: unreadable weight file: ")
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestOracleCrash:
     def test_resume_after_crash_matches_uninterrupted_run(self, capsys, tmp_path):
         table = tmp_path / "table.txt"
@@ -266,6 +303,15 @@ class TestBlasThreads:
         for name in run_files(a):
             if name.startswith("checkpoint-"):
                 assert_same_checkpoint(a / name, b / name)
+
+    def test_tier1_runs_blas_on_one_thread(self):
+        """tests/conftest.py caps the pool before numpy loads, as the CLI
+        does, so this process runs no BLAS worker threads."""
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc/self/task")
+        a = np.random.default_rng(0).random((600, 600))
+        assert float((a @ a).sum()) > 0
+        assert len(os.listdir("/proc/self/task")) == threading.active_count()
 
     @pytest.mark.parametrize("blas,expected", [
         ({}, "1 1 1"),
