@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -290,6 +291,10 @@ def cmd_codec(args) -> int:
 # parser and dispatch
 
 
+# Built once per process: parse_args keeps no state between calls, and
+# set_defaults(func=cmd_*) binds the command functions at this first build,
+# so patching a cmd_* afterwards would not reach main (nothing does).
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rigidsearch",

@@ -372,6 +372,11 @@ def is_hamiltonian(g: Graph) -> bool:
         return False
     if any(r.bit_count() < 2 for r in g.rows):
         return False
+    # a cycle alternates sides, so a bipartite graph needs equal sides (a
+    # connected one has only one 2-coloring; a disconnected one no cycle)
+    colors = _two_coloring(g)
+    if colors is not None and 2 * sum(colors) != n:
+        return False
     rows = g.rows
     full = (1 << n) - 1
 
@@ -394,7 +399,9 @@ def is_hamiltonian(g: Graph) -> bool:
     return extend(0, 1)
 
 
-def _is_bipartite(g: Graph) -> bool:
+def _two_coloring(g: Graph) -> list[int] | None:
+    """A 0/1 color per vertex with no edge inside a color, or None if g is
+    not bipartite.  The first vertex of each component gets color 0."""
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] >= 0:
@@ -408,8 +415,8 @@ def _is_bipartite(g: Graph) -> bool:
                     color[v] = 1 - color[u]
                     stack.append(v)
                 elif color[v] == color[u]:
-                    return False
-    return True
+                    return None
+    return color
 
 
 def _colorable(g: Graph, k: int) -> bool:
@@ -444,7 +451,7 @@ def chromatic_number(g: Graph) -> int:
         return 0
     if g.edge_count == 0:
         return 1
-    if _is_bipartite(g):
+    if _two_coloring(g) is not None:
         return 2
     k = 3
     while not _colorable(g, k):

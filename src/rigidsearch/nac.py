@@ -95,12 +95,15 @@ def count_nac(g: Graph) -> int:
     own-color classes that such a pair forbids.  Once a vertex has no
     unplaced neighbour it leaves the frontier: a class left without frontier
     vertices can never grow, so it and its pairs are dropped, and equal
-    states merge by adding their counts.  A state is packed into one int: for
-    each frontier vertex, in placement order, four n-bit vertex masks (its red
-    class, its blue class, and the union of the red and of the blue classes
-    that those may not merge with).  The first edge, between the first two
-    placed vertices, is pinned red, which breaks the swap symmetry; the
-    placement order makes them adjacent.
+    states merge by adding their counts.  A state is a flat tuple with four
+    masks for each frontier vertex, in placement order: its red class, its
+    blue class, and the union of the red and of the blue classes that those
+    may not merge with.  Each frontier vertex owns one mask bit, the lowest
+    that no other frontier vertex owns when it is placed, so a mask is as
+    wide as the frontier, not the graph.  The colorings of a placed vertex's
+    edges are expanded one earlier neighbour at a time.  The first edge,
+    between the first two placed vertices, is pinned red, which breaks the
+    swap symmetry; the placement order makes them adjacent.
     """
     m = g.edge_count
     if m > NAC_GUARD:
@@ -113,68 +116,58 @@ def count_nac(g: Graph) -> int:
         at[v] = i
     rows = g.permuted(at).rows  # vertex i is the i-th placed
 
-    # place() reads what the loop below sets: the vertex t being placed, its
-    # earlier neighbours (back), the frontier after it (kept, keep), one
-    # state's count and lists, and the states of the next frontier (new)
-    def place(k: int, red: int, red_ban: int, blue: int, blue_ban: int) -> None:
-        """Color the edges from t to back[k:], given the union of the classes
-        t joins per color so far and the union of the classes those may not
-        merge with; then record the state each surviving coloring reaches."""
-        if k < len(back):
-            u = back[k]
-            k += 1
-            if not (blue >> u & 1 or red_of[u] & red_ban):
-                place(k, red | red_of[u], red_ban | red_ban_of[u],
-                      blue, blue_ban | blue_of[u])
-            # the first edge, from vertex 1 to vertex 0, is pinned red
-            if t != 1 and not (red >> u & 1 or blue_of[u] & blue_ban):
-                place(k, red, red_ban | red_of[u],
-                      blue | blue_of[u], blue_ban | blue_ban_of[u])
-            return
-        red |= tb
-        blue |= tb
-        key = 0
-        for x in kept:
-            # t's classes replace those it joined; a class that one of those
-            # may not merge with may not merge with t's class either
-            if red >> x & 1:
-                r, rb = red, red_ban
-            else:
-                r = red_of[x]
-                rb = red_ban_of[x] | red if red_ban >> x & 1 else red_ban_of[x]
-            if blue >> x & 1:
-                b, bb = blue, blue_ban
-            else:
-                b = blue_of[x]
-                bb = blue_ban_of[x] | blue if blue_ban >> x & 1 else blue_ban_of[x]
-            key = (((key << n | r & keep) << n | b & keep) << n | rb & keep) << n | bb & keep
-        new[key] = new.get(key, 0) + count
-
-    full = (1 << n) - 1
-    states = {0: 1}  # packed state -> colorings of the placed edges reaching it
+    states = {(): 1}  # state -> colorings of the placed edges reaching it
     frontier: list[int] = []
+    bit = [0] * n  # the mask bit each frontier vertex owns
     for t in range(n):
-        tb = 1 << t
-        back = [u for u in frontier if rows[t] >> u & 1]
+        taken = sum(bit[u] for u in frontier)
+        tb = bit[t] = ~taken & taken + 1
+        # an earlier neighbour's bit and the place of its four masks
+        back = [(bit[u], 4 * i) for i, u in enumerate(frontier) if rows[t] >> u & 1]
         kept = [u for u in frontier + [t] if rows[u] >> t > 1]
-        keep = sum(1 << u for u in kept)
-        new = {}
-        for key, count in states.items():
-            red_of = [0] * n
-            blue_of = [0] * n
-            red_ban_of = [0] * n
-            blue_ban_of = [0] * n
-            for x in reversed(frontier):
-                blue_ban_of[x] = key & full
-                key >>= n
-                red_ban_of[x] = key & full
-                key >>= n
-                blue_of[x] = key & full
-                key >>= n
-                red_of[x] = key & full
-                key >>= n
-            place(0, 0, 0, 0, 0)
+        keep = sum(bit[u] for u in kept)
+        stay = [(bit[u], 4 * frontier.index(u)) for u in kept if u != t]
+        new: dict[tuple, int] = {}
+        while states:  # popping frees each state once it is expanded
+            state, count = states.popitem()
+            # (red, red_ban, blue, blue_ban): the union of the classes t
+            # joins per color so far, and of the classes those may not
+            # merge with
+            partial = [(0, 0, 0, 0)]
+            for ub, i in back:
+                r, b, rb, bb = state[i:i + 4]
+                grown = []
+                for red, red_ban, blue, blue_ban in partial:
+                    if not (blue & ub or r & red_ban):
+                        grown.append((red | r, red_ban | rb, blue, blue_ban | b))
+                    # the first edge, from vertex 1 to vertex 0, is pinned red
+                    if t != 1 and not (red & ub or b & blue_ban):
+                        grown.append((red, red_ban | r, blue | b, blue_ban | bb))
+                partial = grown
+            for red, red_ban, blue, blue_ban in partial:
+                red |= tb
+                blue |= tb
+                masks = []
+                for xb, i in stay:
+                    # t's classes replace those it joined; a class that one
+                    # of those may not merge with may not merge with t's
+                    # class either
+                    if red & xb:
+                        r, rb = red, red_ban
+                    else:
+                        r = state[i]
+                        rb = state[i + 2] | red if red_ban & xb else state[i + 2]
+                    if blue & xb:
+                        b, bb = blue, blue_ban
+                    else:
+                        b = state[i + 1]
+                        bb = state[i + 3] | blue if blue_ban & xb else state[i + 3]
+                    masks += (r & keep, b & keep, rb & keep, bb & keep)
+                if keep & tb:
+                    masks += (red & keep, blue & keep, red_ban & keep, blue_ban & keep)
+                key = tuple(masks)
+                new[key] = new.get(key, 0) + count
         states = new
         frontier = kept
     # the all-red coloring survives every check but is not surjective
-    return states[0] - 1
+    return states[()] - 1

@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -488,16 +490,22 @@ def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
         raise
 
 
-def open_weights(path) -> np.lib.npyio.NpzFile:
-    """The npz archive of a weight file or checkpoint; ConfigError when the
-    file is not one (truncated, empty or foreign)."""
+@contextmanager
+def open_weights(path):
+    """The npz archive of a weight file or checkpoint, closed on exit;
+    ConfigError when the file is not one (truncated, empty or foreign) or
+    when an array read from it fails its checksum or decompression."""
     try:
         data = np.load(str(path))
     except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise ConfigError(f"{path}: unreadable weight file: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path}: unreadable weight file: not an npz archive")
-    return data
+    with data:
+        try:
+            yield data
+        except (zipfile.BadZipFile, zlib.error) as exc:  # damaged member data
+            raise ConfigError(f"{path}: unreadable weight file: {exc}") from exc
 
 
 def load_params(path) -> PolicyParams:

@@ -9,11 +9,14 @@ against an apex), which is what the search policy walks over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .graphs import CanonicalCode, Graph, canonical_code, decode_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GuardError(ValueError):
@@ -176,6 +179,8 @@ def enumerate_zero_ext_constructible(n: int, max_n: int = 9) -> int:
 def prop1_lower_bound(n: int) -> Fraction:
     """Exact lower bound (n-2)!/(n*2^(n-2)) on the number of 0-extension
     constructible classes on n vertices."""
+    from fractions import Fraction  # loads decimal; only `enumerate --mode zero-only` needs it
+
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return Fraction(factorial(n - 2), n * (1 << (n - 2)))

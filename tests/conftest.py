@@ -5,6 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
 
 from rigidsearch.graphs import Graph
@@ -56,6 +57,33 @@ SPHERE_RECORDS = [
 
 # Best NAC count over all one-vertex extensions of the 13-vertex record.
 BEST_CHILD_OF_NAC_13 = 6656
+
+# Graphs that are not minimally rigid, which `verify` accepts as any code:
+# (n, edges), each a sparse or disconnected case.
+SPARSE_GRAPHS = [
+    pytest.param(1, [], id="one-vertex"),
+    pytest.param(4, [], id="no-edges"),
+    pytest.param(3, [(0, 2)], id="one-edge"),
+    pytest.param(6, [(1, 3), (3, 4), (4, 1), (3, 5)], id="isolated-vertices"),
+    pytest.param(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)],
+                 id="triangle-and-four-cycle"),
+    pytest.param(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4)],
+                 id="two-components"),
+    pytest.param(9, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (6, 7), (7, 8)], id="forest"),
+]
+
+
+def random_graphs() -> list[Graph]:
+    """300 seeded random graphs on 1-18 vertices at random densities, many
+    of them disconnected."""
+    rng = np.random.default_rng(7)
+    graphs = []
+    for _ in range(300):
+        n = int(rng.integers(1, 19))
+        density = rng.random()
+        graphs.append(Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]))
+    return graphs
 
 
 @pytest.fixture

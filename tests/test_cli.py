@@ -1,9 +1,13 @@
 import csv
+import os
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from rigidsearch import cli
 from rigidsearch.cli import main
 from rigidsearch.graphs import Graph, canonical_code, decode_int, encode_int
 from rigidsearch.oracle import bundled_stub_table
@@ -468,6 +472,40 @@ class TestExitCodeContract:
                                "--reward", "plane")
         assert code == 2
         assert "needs --oracle" in err
+
+
+class TestOneParserPerProcess:
+    """`main` builds its parser once per process.  After a failed parse and
+    a `--help`, both of which exit through SystemExit, each call must still
+    print and return what it would in a fresh process."""
+
+    SEQUENCE = [
+        ("search", "--reward", "girth"),
+        ("verify", "--help"),
+        ("verify", str(NAC_RECORDS[13][0]), "--n", "13", "--checks", "rigid,nac"),
+    ]
+
+    @staticmethod
+    def fresh(argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-m", "rigidsearch.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        return res.returncode, res.stdout, res.stderr
+
+    def test_each_call_behaves_as_in_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err))
+        assert [code for code, _, _ in got] == [2, 0, 0]
+        assert got == [self.fresh(argv) for argv in self.SEQUENCE]
+        assert cli._parser() is cli._parser()
 
 
 class TestOracleOnlyWhenQueried:

@@ -1,7 +1,8 @@
 """The graph code against test-local copies of the code it replaced: the
 ranked color sources `_degree_colors` and `_individualize`, the search that
-used them; and the Hamiltonian and connectivity walks against brute force
-and breadth-first search.  Every answer must be equal, not close."""
+used them, and the Hamiltonian search before it skipped bipartite graphs
+with unequal sides; and the Hamiltonian and connectivity walks against brute
+force and breadth-first search.  Every answer must be equal, not close."""
 
 from itertools import permutations
 
@@ -9,8 +10,8 @@ import numpy as np
 
 from rigidsearch.graphs import (Graph, _degree_colors, _encode_under,
                                 _individualize, _orbit, _refine, _search,
-                                automorphism_count, canonical_code,
-                                decode_int, is_hamiltonian)
+                                _two_coloring, automorphism_count,
+                                canonical_code, decode_int, is_hamiltonian)
 from rigidsearch.rigidity import enumerate_minimally_rigid
 
 from conftest import NAC_COMPARISON, NAC_RECORDS, SPHERE_RECORDS
@@ -94,6 +95,34 @@ def ref_is_hamiltonian(g):
         if all(g.has_edge(cycle[i], cycle[(i + 1) % n]) for i in range(n)):
             return True
     return False
+
+
+def backtracking_is_hamiltonian(g):
+    """The backtracking search with connectivity pruning, without the
+    bipartite side check."""
+    n = g.n
+    if n < 3:
+        return False
+    if any(r.bit_count() < 2 for r in g.rows):
+        return False
+    rows = g.rows
+    full = (1 << n) - 1
+
+    def extend(cur, visited):
+        if visited == full:
+            return bool(rows[cur] & 1)
+        rest = full & ~visited
+        if g.reach(rows[cur], rest) != rest:
+            return False
+        m = rows[cur] & rest
+        while m:
+            b = m & -m
+            if extend(b.bit_length() - 1, visited | b):
+                return True
+            m ^= b
+        return False
+
+    return extend(0, 1)
 
 
 def ref_reach(g, src, allowed):
@@ -180,6 +209,20 @@ def test_hamiltonian_matches_brute_force_on_random_graphs():
     assert True in answers and False in answers
     assert any(g.n >= 3 and g.reach(1, (1 << g.n) - 1) != (1 << g.n) - 1 for g in graphs)
     assert any(1 in [g.degree(v) for v in range(g.n)] for g in graphs)
+
+
+def test_hamiltonian_matches_the_backtracking_on_certificates():
+    certs = [(n, code) for family in (NAC_RECORDS, NAC_COMPARISON)
+             for n, (code, _) in family.items()]
+    certs += [(n, code) for n, code, _ in SPHERE_RECORDS]
+    assert len(certs) == 16
+    unequal = 0
+    for n, code in certs:
+        g = decode_int(code, n)
+        assert is_hamiltonian(g) == backtracking_is_hamiltonian(g), (n, code)
+        colors = _two_coloring(g)
+        unequal += colors is not None and 2 * sum(colors) != n
+    assert unequal == 8  # the certificates the side check decides
 
 
 def test_walks_match_breadth_first_search():

@@ -1,6 +1,7 @@
-"""The verification commands start without numpy or yaml: only `search` and
-`transfer-eval` load numpy, and only after the CLI has capped the BLAS
-threads.  Each command runs in a fresh interpreter, which reports the
+"""The verification commands start without numpy, yaml or fractions: only
+`search` and `transfer-eval` load numpy, and only after the CLI has capped
+the BLAS threads; only `enumerate --mode zero-only` loads fractions (and with
+it decimal).  Each command runs in a fresh interpreter, which reports the
 modules it loaded and the BLAS setting numpy found when it was imported."""
 
 import json
@@ -20,8 +21,9 @@ SRC = str(Path(rigidsearch.cli.__file__).resolve().parents[1])
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Runs `rigidsearch argv...` (or only imports the CLI, given no argv) and
-# prints, as the last line of stderr, which of numpy and yaml it loaded and
-# the OPENBLAS_NUM_THREADS value at the moment numpy was first imported.
+# prints, as the last line of stderr, which of numpy, yaml and fractions it
+# loaded and the OPENBLAS_NUM_THREADS value at the moment numpy was first
+# imported.
 PROBE = """
 import json, os, sys
 
@@ -41,7 +43,7 @@ if sys.argv[1:]:
         rc = main(sys.argv[1:])
     except SystemExit as exc:
         rc = exc.code
-loaded = sorted({"numpy", "yaml"} & set(sys.modules))
+loaded = sorted({"numpy", "yaml", "fractions"} & set(sys.modules))
 print(json.dumps({"loaded": loaded, "numpy_saw": numpy_saw}), file=sys.stderr)
 sys.exit(rc)
 """

@@ -6,6 +6,7 @@ from rigidsearch.graphs import Graph, decode_int
 from rigidsearch.nac import NAC_GUARD, count_nac
 from rigidsearch.rigidity import GuardError, enumerate_minimally_rigid
 
+from conftest import SPARSE_GRAPHS
 from reference import is_nac_coloring
 
 
@@ -105,17 +106,7 @@ class TestNotMinimallyRigid:
     """`verify` accepts any code, so the counter must be exact beyond Laman
     graphs; each case is checked against the brute-force enumeration."""
 
-    @pytest.mark.parametrize("n,edges", [
-        pytest.param(1, [], id="one-vertex"),
-        pytest.param(4, [], id="no-edges"),
-        pytest.param(3, [(0, 2)], id="one-edge"),
-        pytest.param(6, [(1, 3), (3, 4), (4, 1), (3, 5)], id="isolated-vertices"),
-        pytest.param(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)],
-                     id="triangle-and-four-cycle"),
-        pytest.param(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5), (5, 6), (6, 7), (7, 4)],
-                     id="two-components"),
-        pytest.param(9, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (6, 7), (7, 8)], id="forest"),
-    ])
+    @pytest.mark.parametrize("n,edges", SPARSE_GRAPHS)
     def test_sparse_graphs_match_reference(self, n, edges):
         g = Graph.from_edges(n, edges)
         assert count_nac(g) == naive_count(g)

@@ -1,9 +1,11 @@
-"""`count_nac`, a frontier DP, against two test-local depth-first counters
-it replaced: the connectivity-first counter (`survivors_count`) and the
+"""`count_nac`, a frontier DP with tuple states, against three test-local
+counters it replaced: the same DP with packed-int states (`packed_count_nac`),
+the connectivity-first depth-first counter (`survivors_count`) and the
 merge/unmerge counter before it (`ref_count_nac`).  Every count must match
 exactly, on every class up to eight vertices, on the record and comparison
-certificates from 13 to 18 vertices, on the children of the 13-vertex record
-and on the graphs of seeded rollouts."""
+certificates from 13 to 18 vertices, on the children of the 13-vertex record,
+on the graphs of seeded rollouts, and (for the packed DP) on sparse,
+disconnected and random graphs."""
 
 import numpy as np
 import pytest
@@ -15,7 +17,77 @@ from rigidsearch.policy import init_params
 from rigidsearch.rigidity import (GuardError, apply_extension, enumerate_extensions,
                                   enumerate_minimally_rigid)
 
-from conftest import NAC_COMPARISON, NAC_RECORDS
+from conftest import NAC_COMPARISON, NAC_RECORDS, SPARSE_GRAPHS, random_graphs
+
+# --- reference: the same frontier DP with each state packed into one int,
+# unpacked into four lists per state, and the edges of a placed vertex
+# colored by a recursive closure
+
+
+def packed_count_nac(g: Graph) -> int:
+    m = g.edge_count
+    if m > NAC_GUARD:
+        raise GuardError(f"|E|={m} exceeds guard {NAC_GUARD}")
+    if m < 2:
+        return 0
+    n = g.n
+    rows = _placed(g).rows
+
+    def place(k: int, red: int, red_ban: int, blue: int, blue_ban: int) -> None:
+        if k < len(back):
+            u = back[k]
+            k += 1
+            if not (blue >> u & 1 or red_of[u] & red_ban):
+                place(k, red | red_of[u], red_ban | red_ban_of[u],
+                      blue, blue_ban | blue_of[u])
+            if t != 1 and not (red >> u & 1 or blue_of[u] & blue_ban):
+                place(k, red, red_ban | red_of[u],
+                      blue | blue_of[u], blue_ban | blue_ban_of[u])
+            return
+        red |= tb
+        blue |= tb
+        key = 0
+        for x in kept:
+            if red >> x & 1:
+                r, rb = red, red_ban
+            else:
+                r = red_of[x]
+                rb = red_ban_of[x] | red if red_ban >> x & 1 else red_ban_of[x]
+            if blue >> x & 1:
+                b, bb = blue, blue_ban
+            else:
+                b = blue_of[x]
+                bb = blue_ban_of[x] | blue if blue_ban >> x & 1 else blue_ban_of[x]
+            key = (((key << n | r & keep) << n | b & keep) << n | rb & keep) << n | bb & keep
+        new[key] = new.get(key, 0) + count
+
+    full = (1 << n) - 1
+    states = {0: 1}
+    frontier: list[int] = []
+    for t in range(n):
+        tb = 1 << t
+        back = [u for u in frontier if rows[t] >> u & 1]
+        kept = [u for u in frontier + [t] if rows[u] >> t > 1]
+        keep = sum(1 << u for u in kept)
+        new = {}
+        for key, count in states.items():
+            red_of = [0] * n
+            blue_of = [0] * n
+            red_ban_of = [0] * n
+            blue_ban_of = [0] * n
+            for x in reversed(frontier):
+                blue_ban_of[x] = key & full
+                key >>= n
+                red_ban_of[x] = key & full
+                key >>= n
+                blue_of[x] = key & full
+                key >>= n
+                red_of[x] = key & full
+                key >>= n
+            place(0, 0, 0, 0, 0)
+        states = new
+        frontier = kept
+    return states[0] - 1
 
 # --- reference: the connectivity-first depth-first counter, copying its
 # component and neighbour bitmasks on each step
@@ -138,6 +210,7 @@ def test_every_class_up_to_eight_vertices():
               for n in range(3, 9) for cc in enumerate_minimally_rigid(n)]
     assert len(graphs) == 696
     counts = [count_nac(g) for g in graphs]
+    assert counts == [packed_count_nac(g) for g in graphs]
     assert counts == [survivors_count(g) for g in graphs]
     assert counts == [ref_count_nac(g) for g in graphs]
 
@@ -153,7 +226,8 @@ def test_certificates_under_given_and_seeded_labels(n, code, count):
     shuffled = g.permuted(list(np.random.default_rng(n).permutation(n)))
     assert shuffled != g
     for h in (g, shuffled):
-        assert count_nac(h) == survivors_count(h) == ref_count_nac(h) == count
+        assert count_nac(h) == packed_count_nac(h) == count
+        assert survivors_count(h) == ref_count_nac(h) == count
 
 
 LARGE = [pytest.param(n, code, count, id=f"{family}-{n}")
@@ -164,7 +238,8 @@ LARGE = [pytest.param(n, code, count, id=f"{family}-{n}")
 @pytest.mark.parametrize("n,code,count", LARGE)
 def test_large_certificates_under_given_labels(n, code, count):
     g = decode_int(code, n)
-    assert count_nac(g) == survivors_count(g) == ref_count_nac(g) == count
+    assert count_nac(g) == packed_count_nac(g) == count
+    assert survivors_count(g) == ref_count_nac(g) == count
 
 
 def test_children_of_the_13_vertex_record():
@@ -177,6 +252,7 @@ def test_children_of_the_13_vertex_record():
     for cc, child in children.items():
         count = count_nac(child)
         assert count_nac(decode_int(cc.code, cc.n)) == count, cc
+        assert packed_count_nac(child) == count, cc
         assert survivors_count(child) == count, cc
         # the reference is label-dependent only in speed
         assert ref_count_nac(_placed(child)) == count, cc
@@ -194,12 +270,26 @@ def test_rollout_graphs(n, count):
         graphs.setdefault(canonical.rows, canonical)
     assert len(graphs) > 100
     for g in graphs.values():
-        assert count_nac(g) == survivors_count(g) == ref_count_nac(g), g.edges()
+        count = count_nac(g)
+        assert packed_count_nac(g) == count, g.edges()
+        assert survivors_count(g) == ref_count_nac(g) == count, g.edges()
 
 
 def test_guard_boundary():
     g = Graph.complete(9).remove_edge(0, 1)  # 35 edges
-    for counter in (count_nac, survivors_count, ref_count_nac):
+    for counter in (count_nac, packed_count_nac, survivors_count, ref_count_nac):
         assert counter(g.remove_edge(2, 3)) == 0
         with pytest.raises(GuardError):
             counter(g)
+
+
+def test_sparse_disconnected_and_random_graphs():
+    graphs = [Graph.from_edges(*case.values) for case in SPARSE_GRAPHS]
+    graphs += random_graphs()
+    counted = 0
+    for g in graphs:
+        if g.edge_count > NAC_GUARD:
+            continue  # test_guard_boundary pins the guard for both counters
+        assert count_nac(g) == packed_count_nac(g), (g.n, g.edges())
+        counted += 1
+    assert counted > 100

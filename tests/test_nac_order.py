@@ -8,7 +8,7 @@ from rigidsearch.graphs import Graph, canonical_code, decode_int
 from rigidsearch.nac import _placement_order, count_nac
 from rigidsearch.rigidity import enumerate_minimally_rigid
 
-from conftest import NAC_COMPARISON, NAC_RECORDS
+from conftest import NAC_COMPARISON, NAC_RECORDS, random_graphs
 
 
 def test_order_is_a_connected_permutation():
@@ -53,13 +53,7 @@ def _order_graphs() -> list[Graph]:
               for n in range(3, 9) for cc in enumerate_minimally_rigid(n)]
     graphs += [decode_int(code, n)
                for certs in (NAC_RECORDS, NAC_COMPARISON) for n, (code, _) in certs.items()]
-    rng = np.random.default_rng(7)
-    for _ in range(300):  # random graphs, many of them disconnected
-        n = int(rng.integers(1, 19))
-        density = rng.random()
-        graphs.append(Graph.from_edges(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]))
-    return graphs
+    return graphs + random_graphs()
 
 
 def test_order_matches_the_min_frontier_rule():

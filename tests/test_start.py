@@ -161,8 +161,9 @@ def write_sphere_table(path):
 
 
 class TestUnreadableWeights:
-    """A cut, empty or non-npz weight file is a usage error at every entry
-    point that reads one: exit 2, one `error:` line, and nothing written."""
+    """A cut, damaged, empty or non-npz weight file is a usage error at every
+    entry point that reads one: exit 2, one `error:` line, and nothing
+    written."""
 
     @pytest.fixture(scope="class")
     def broken(self, tmp_path_factory):
@@ -171,6 +172,9 @@ class TestUnreadableWeights:
         whole = (root / "run" / "checkpoint-1").read_bytes()
         assert len(whole) > 5000
         (root / "cut").write_bytes(whole[:5000])
+        middle = len(whole) // 2  # inside the stored data of an array
+        (root / "damaged").write_bytes(whole[:middle] + bytes([whole[middle] ^ 1])
+                                       + whole[middle + 1:])
         (root / "empty").write_bytes(b"")
         np.save(root / "array.npy", np.zeros(3))
         return root
@@ -183,7 +187,7 @@ class TestUnreadableWeights:
                          "--out", "{out}"),
     }
 
-    @pytest.mark.parametrize("file", ["cut", "empty", "array.npy"])
+    @pytest.mark.parametrize("file", ["cut", "damaged", "empty", "array.npy"])
     @pytest.mark.parametrize("argv", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, broken, argv, file):
         weights, out = broken / file, tmp_path / "out"
