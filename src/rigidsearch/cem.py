@@ -308,12 +308,18 @@ def run_generation(state: RunState, cfg: CemConfig, main: CachedReward,
                            seconds=time.monotonic() - start)
 
 
+# Earlier generations never stop a run: an untrained policy can be collapsed
+# onto a few classes and recover once trained (n=13, seed 0: 46, 101, then 967
+# new classes).  Using `t` alone, a resumed run stops where a whole one does.
+EARLY_STOP_FROM = 3
+
+
 def early_stop_check(history: list[GenerationStats], threshold: int) -> bool:
-    """Stop once the latest generation discovered strictly fewer new
-    isomorphism classes than the threshold."""
+    """Stop once the latest generation, from `EARLY_STOP_FROM` on, discovered
+    strictly fewer new isomorphism classes than the threshold."""
     if not history:
         raise ValueError("no completed generations")
-    return history[-1].new_noniso < threshold
+    return history[-1].t >= EARLY_STOP_FROM and history[-1].new_noniso < threshold
 
 
 # ---------------------------------------------------------------------------

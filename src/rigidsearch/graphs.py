@@ -9,7 +9,7 @@ arbitrary precision, so codes for any n round-trip exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class Graph:
@@ -136,12 +136,7 @@ class Graph:
 
 def encode_int(g: Graph) -> int:
     """Upper-triangle bits of the adjacency matrix as one unsigned integer."""
-    x = 0
-    for u in range(g.n - 1):
-        ru = g.rows[u]
-        for v in range(u + 1, g.n):
-            x = (x << 1) | (ru >> v & 1)
-    return x
+    return _encode_under(g.rows, g.n, range(g.n))
 
 
 def decode_int(x: int, n: int) -> Graph:
@@ -253,7 +248,7 @@ def _individualize(colors: list[int], v: int) -> list[int]:
     return out
 
 
-def _encode_under(rows: tuple[int, ...], n: int, colors: list[int]) -> int:
+def _encode_under(rows: tuple[int, ...], n: int, colors: Sequence[int]) -> int:
     # colors discrete: vertex v gets new label colors[v]
     inv = [0] * n
     for v in range(n):

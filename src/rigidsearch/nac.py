@@ -39,46 +39,25 @@ def _placement_order(g: Graph) -> list[int]:
     ties because on canonically labelled graphs, which a search counts, it
     gives fewer frontier states than the lower one.)
     """
-    n = g.n
-    rows = g.rows
+    n, rows = g.n, g.rows
     degree = [r.bit_count() for r in rows]
-    left = degree[:]  # unplaced neighbours of each vertex
     order: list[int] = []
     placed = 0
     reached = 0  # unplaced vertices with a placed neighbour
-    # placed vertices with one unplaced neighbour, or none: those touch no
-    # unplaced vertex, so they need not leave
-    last = 0
     for _ in range(n):
+        free = ~placed
+        # each key ends with its vertex, so the largest key names the choice
         if reached:
             # placing u drops each placed neighbour whose last unplaced
             # neighbour it is, and adds u if it keeps an unplaced neighbour
-            best = None
-            m = reached
-            while m:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
-                r = rows[u]
-                key = ((r & last).bit_count() - (left[u] > 0), (r & placed).bit_count(),
-                       degree[u], u)
-                if best is None or key > best:
-                    best, v = key, u
+            last = sum(1 << w for w in order if (rows[w] & free).bit_count() == 1)
+            v = max(((r & last).bit_count() - (r & free != 0), (r & placed).bit_count(),
+                     degree[u], u) for u, r in enumerate(rows) if reached >> u & 1)[-1]
         else:
-            v = max((u for u in range(n) if not placed >> u & 1), key=lambda u: (degree[u], u))
+            v = max((degree[u], u) for u in range(n) if free >> u & 1)[-1]
         order.append(v)
         placed |= 1 << v
         reached = (reached | rows[v]) & ~placed
-        if left[v] == 1:
-            last |= 1 << v
-        m = rows[v]
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            left[u] -= 1
-            if left[u] == 1 and placed & b:
-                last |= b
     return order
 
 

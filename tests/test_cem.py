@@ -189,9 +189,12 @@ class TestRunGeneration:
         assert len(state.seen) == seen_before + s2.new_noniso
 
     def test_early_stop_check_is_strict(self):
-        mk = lambda new: GenerationStats(1, 0, 0, new, 0.0, 0, 0.0)
-        assert early_stop_check([mk(249)], 250)
-        assert not early_stop_check([mk(250)], 250)
+        mk = lambda t, new: GenerationStats(t, 0, 0, new, 0.0, 0, 0.0)
+        # an untrained policy gets two generations before the rule applies
+        assert not early_stop_check([mk(1, 0)], 250)
+        assert not early_stop_check([mk(1, 0), mk(2, 0)], 250)
+        assert early_stop_check([mk(3, 249)], 250)
+        assert not early_stop_check([mk(3, 250)], 250)
         with pytest.raises(ValueError):
             early_stop_check([], 250)
 
@@ -236,7 +239,8 @@ class TestRun:
 
     def test_early_stop_threshold_ends_run(self):
         res = run(quick_cfg(generations=50, early_stop=500))
-        assert len(res.stats) == 1  # 50 rollouts can't discover 500 classes
+        # 50 rollouts can't discover 500 classes; the rule applies from t=3
+        assert len(res.stats) == 3
 
     def test_best_lines_record_improvements(self, tmp_path):
         out = tmp_path / "run"

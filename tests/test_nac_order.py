@@ -1,12 +1,16 @@
 """The min-frontier order `count_nac` places vertices in, and the published
 counts of the n = 16-18 certificates under three labelings."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from rigidsearch.cem import rollouts
 from rigidsearch.graphs import Graph, canonical_code, decode_int
 from rigidsearch.nac import _placement_order, count_nac
-from rigidsearch.rigidity import enumerate_minimally_rigid
+from rigidsearch.policy import init_params
+from rigidsearch.rigidity import apply_extension, enumerate_extensions, enumerate_minimally_rigid
 
 from conftest import NAC_COMPARISON, NAC_RECORDS, random_graphs
 
@@ -48,12 +52,37 @@ def min_frontier_order(g: Graph) -> list[int]:
     return order
 
 
+def _search_traffic() -> list[Graph]:
+    """Graphs a search counts: the final graphs of untrained rollouts at the
+    default initialization, and the child classes of the 13-vertex record,
+    each as built and canonically labelled."""
+    built = []
+    for n in (10, 13):
+        params = init_params("gin", n, seed=(0, 0, 2**30 + 1))
+        traces = rollouts(params, n, [np.random.default_rng((0, 1, i)) for i in range(150)])
+        built += [(tr.graph, tr.code) for tr in traces]
+    record = decode_int(NAC_RECORDS[13][0], 13)
+    children = {}
+    for ext in enumerate_extensions(record):
+        child = apply_extension(record, ext)
+        children.setdefault(canonical_code(child), child)
+    assert len(children) == 185
+    built += [(child, cc) for cc, child in children.items()]
+    graphs: dict[tuple[int, ...], Graph] = {}
+    for g, cc in built:
+        graphs.setdefault(g.rows, g)
+        canonical = decode_int(cc.code, cc.n)
+        graphs.setdefault(canonical.rows, canonical)
+    return list(graphs.values())
+
+
+@functools.cache
 def _order_graphs() -> list[Graph]:
     graphs = [decode_int(cc.code, cc.n)
               for n in range(3, 9) for cc in enumerate_minimally_rigid(n)]
     graphs += [decode_int(code, n)
                for certs in (NAC_RECORDS, NAC_COMPARISON) for n, (code, _) in certs.items()]
-    return graphs + random_graphs()
+    return graphs + random_graphs() + _search_traffic()
 
 
 def test_order_matches_the_min_frontier_rule():

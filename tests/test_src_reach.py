@@ -1,6 +1,7 @@
 """Every function and class defined under `src/rigidsearch` is reached from
 `src/`: its name occurs there as a name or an attribute, not only in its own
-`def` or in an import.  Code that only tests call belongs in the tests."""
+`def` or in an import.  Code that only tests call belongs in the tests.  And
+every name a `src/` module imports is used in that module."""
 
 import ast
 import os
@@ -58,3 +59,23 @@ def test_the_allowlist_names_definitions():
     defined = {node.name for _, tree in _trees() for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(ALLOWED) <= defined
+
+
+def test_every_import_is_used(tracing):
+    # the benchmark's tracer patches a traced name in the module whose code
+    # calls it, so that module may import it for the tracer alone
+    traced = {(module, attr) for module, attr, _ in tracing.LAYERS}
+    unused = []
+    for name, tree in _trees():
+        module = "rigidsearch." + name.removesuffix(".py")
+        imported: dict[str, int] = {}
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{bound} ({name}:{line})" for bound, line in imported.items()
+                   if bound not in used | {"annotations"} and (module, bound) not in traced]
+    assert not unused, "imported in src/ but never used there: " + ", ".join(unused)

@@ -124,6 +124,20 @@ class TestRunDirectory:
         assert (part / "best.txt").read_text() == (full / "best.txt").read_text()
         assert_same_checkpoint(part / "checkpoint-4", full / "checkpoint-4")
 
+    def test_resumed_run_stops_early_where_the_uninterrupted_run_does(self, capsys,
+                                                                      tmp_path):
+        # n=7, seed 2: generation 2 finds 5 new classes, below the threshold
+        # m/4 = 10, but the rule applies from generation 3, which finds 5 too
+        full, part = tmp_path / "full", tmp_path / "part"
+        argv = (*NAC, "--early-stop", "10", "--n", "7", "--seed", "2", "--generations", "8")
+        assert run_cli(capsys, *argv, "--out", full)[0] == 0
+        assert [r["t"] for r in rows(full)] == ["1", "2", "3"]
+        assert run_cli(capsys, *argv, "--generations", "1", "--out", part)[0] == 0
+        code, _, _ = run_cli(capsys, *argv, "--out", part, "--resume", part / "checkpoint-1")
+        assert code == 0
+        assert rows(part) == rows(full)
+        assert (part / "best.txt").read_text() == (full / "best.txt").read_text()
+
     def test_fresh_run_into_used_out_starts_empty(self, capsys, tmp_path):
         used, new = tmp_path / "used", tmp_path / "new"
         run_cli(capsys, *NAC, "--n", "7", "--generations", "5", "--out", used)
